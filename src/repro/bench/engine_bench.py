@@ -107,19 +107,36 @@ def bench_profile_names() -> tuple[str, ...]:
 def build_bench_dag(config: BenchConfig, profile: str) -> ApplicationDAG:
     """Deterministic synthetic application with >= ``min_tasks`` tasks.
 
-    Jobs are added until the active-stage task count clears the floor,
-    so the guarantee survives generator/DAG-builder changes.
+    Uses the smallest even job count from 4 up whose active-stage task
+    count clears the floor, so the guarantee survives generator/DAG-
+    builder changes.  The generator draws job by job, so an application
+    with more jobs extends one with fewer and the task count never falls
+    as jobs grow: a galloping search brackets the smallest count and a
+    binary search pins it, compiling O(log n) DAGs instead of n/2.
     """
     overrides = _PROFILES[profile].overrides
-    num_jobs = 4
-    while True:
+
+    def build(step: int) -> ApplicationDAG:
         cfg = SyntheticConfig(
-            num_jobs=num_jobs, partitions=config.partitions, **overrides
+            num_jobs=4 + 2 * step, partitions=config.partitions, **overrides
         )
-        dag = build_dag(generate_application(config.seed, cfg))
-        if total_tasks(dag) >= config.min_tasks:
-            return dag
-        num_jobs += 2
+        return build_dag(generate_application(config.seed, cfg))
+
+    # ``below`` is the largest step known to miss the floor (-1: none);
+    # ``dag`` is the build at step ``above``, which clears it.
+    below, above = -1, 0
+    dag = build(above)
+    while total_tasks(dag) < config.min_tasks:
+        below, above = above, 2 * above + 1
+        dag = build(above)
+    while above - below > 1:
+        mid = (below + above) // 2
+        candidate = build(mid)
+        if total_tasks(candidate) >= config.min_tasks:
+            above, dag = mid, candidate
+        else:
+            below = mid
+    return dag
 
 
 def total_tasks(dag: ApplicationDAG) -> int:

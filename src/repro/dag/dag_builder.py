@@ -153,12 +153,26 @@ class DagBuilder:
         """
         created: dict[object, int] = {}  # dedupe key -> skeleton id (within job)
 
-        def create(rdd: RDD, shuffle_dep: ShuffleDependency | None) -> int:
-            key: object = shuffle_dep.shuffle_id if shuffle_dep else ("result", rdd.id)
-            if key in created:
-                return created[key]
+        # Post-order walk with an explicit stack (a shuffle lineage can
+        # be deeper than Python's recursion limit).  Each frame is
+        # ``(rdd, shuffle_dep, key, parent deps, parent ids so far)``;
+        # a frame emits its skeleton once every parent has an id, so ids
+        # come out parents-first in the recursive definition's order.
+        def frame(rdd: RDD, shuffle_dep: ShuffleDependency | None, key: object) -> tuple:
             parent_deps = self._frontier_shuffle_deps(rdd, job_id, truncate=False)
-            parent_ids = [create(dep.parent, dep) for dep in parent_deps]
+            return rdd, shuffle_dep, key, parent_deps, []
+
+        stack = [frame(target, None, ("result", target.id))]
+        while True:
+            rdd, shuffle_dep, key, parent_deps, parent_ids = stack[-1]
+            if len(parent_ids) < len(parent_deps):
+                dep = parent_deps[len(parent_ids)]
+                if dep.shuffle_id in created:
+                    parent_ids.append(created[dep.shuffle_id])
+                else:  # resumed once the parent's skeleton exists
+                    stack.append(frame(dep.parent, dep, dep.shuffle_id))
+                continue
+            stack.pop()
             skel = _StageSkeleton(
                 id=len(self._skeletons),
                 job_id=job_id,
@@ -169,9 +183,8 @@ class DagBuilder:
             )
             self._skeletons.append(skel)
             created[key] = skel.id
-            return skel.id
-
-        return create(target, None)
+            if not stack:
+                return skel.id
 
     def _mark_active(self, result_skel_id: int, job_id: int) -> None:
         """Decide which of the job's stages actually execute.

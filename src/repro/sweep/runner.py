@@ -6,10 +6,11 @@ pool otherwise.  Three properties the experiment drivers and the
 ``repro sweep`` CLI rely on:
 
 * **Determinism** — a cell is a pure function of its spec: the worker
-  rebuilds the workload DAG, cluster, and scheme from plain data, and
-  any RNG seed derives from the cell's fingerprint, never from the
-  process or submission order.  ``--jobs N`` is therefore bit-identical
-  to ``--jobs 1`` (a tested invariant).
+  builds the cluster and scheme from plain data, compiles (or reuses,
+  see below) the workload DAG, and any RNG seed derives from the cell's
+  fingerprint, never from the process or submission order.
+  ``--jobs N`` is therefore bit-identical to ``--jobs 1`` (a tested
+  invariant).
 * **Failure isolation** — an exception inside a cell produces an error
   :class:`CellResult` (type, message, traceback) instead of killing the
   sweep; healthy cells complete and the summary reports the failures.
@@ -22,6 +23,17 @@ Each cell with ``profile_store=True`` gets its *own* profile directory
 (keyed by fingerprint) — cells never share one, because a stored MRD
 profile from one configuration silently changes another configuration's
 eviction behaviour (see ``tests/sweep/test_profile_isolation.py``).
+
+Workload DAGs, by contrast, *are* shared: a simulation never mutates
+its DAG (only the engine's derived ``engine_plans`` cache grows; see
+``tests/sweep/test_dag_sharing.py``), so each process compiles a
+workload once and reuses the DAG, its compiled task plans and its peak
+live cached set for every later cell with the same
+``(WorkloadSpec, WorkloadParams)`` key.  The memo lives for one
+:func:`run_cells` call (one per pool worker process) or one
+``run_worker`` lease loop, and holds one workload's DAGs at a time —
+grids expand workload-major, so that is all a sweep needs.  A bare
+:func:`run_cell` call builds fresh.
 """
 
 from __future__ import annotations
@@ -35,11 +47,13 @@ from pathlib import Path
 
 from repro.control.plane import RpcConfig
 from repro.core.app_profiler import ProfileStore
+from repro.dag.dag_builder import ApplicationDAG
 from repro.simulator.config import CLUSTERS
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.reporting import metrics_to_dict
 from repro.sweep.spec import CellSpec
 from repro.sweep.store import STATUS_ERROR, STATUS_OK, CellResult, ResultStore
+from repro.workloads.base import WorkloadParams, WorkloadSpec
 
 #: ``progress(done, total, result)`` — invoked after every cell.
 ProgressFn = Callable[[int, int, CellResult], None]
@@ -56,15 +70,25 @@ def _build_cluster_config(cell: CellSpec):
     return config
 
 
-def _execute_cell(cell: CellSpec, profile_path: str | None) -> RunMetrics:
-    """Run one cell to completion (pure function of the spec)."""
+#: The compiled workloads a process is sweeping: each DAG with its peak
+#: live cached set (MB), from which ``cache_fraction`` cells size caches.
+DagMemo = dict[tuple[WorkloadSpec, WorkloadParams], tuple[ApplicationDAG, float]]
+
+
+def _compiled_workload(
+    cell: CellSpec, dags: DagMemo | None
+) -> tuple[ApplicationDAG, float]:
+    """The cell's workload DAG and its peak live cached MB: from ``dags``
+    when it holds them, else built.
+
+    The key is the :class:`WorkloadSpec` object, not its name, because
+    ``register_workload(..., replace=True)`` can rebind a name.
+    """
     from repro.dag.analysis import peak_live_cached_mb
     from repro.dag.dag_builder import build_dag
-    from repro.experiments.harness import MIN_CACHE_MB
-    from repro.simulator.engine import simulate
-    from repro.workloads.base import WorkloadParams
     from repro.workloads.registry import get_workload
 
+    spec = get_workload(cell.workload)
     params = WorkloadParams(
         scale=cell.scale,
         iterations=cell.iterations,
@@ -74,14 +98,32 @@ def _execute_cell(cell: CellSpec, profile_path: str | None) -> RunMetrics:
         ),
         seed=cell.seed,
     )
-    dag = build_dag(get_workload(cell.workload).build(params))
+    key = (spec, params)
+    if dags is not None and key in dags:
+        return dags[key]
+    dag = build_dag(spec.build(params))
+    compiled = (dag, peak_live_cached_mb(dag))
+    if dags is not None:
+        if any(held != spec for held, _ in dags):
+            dags.clear()  # a new workload: drop the previous one's DAGs
+        dags[key] = compiled
+    return compiled
+
+
+def _execute_cell(
+    cell: CellSpec, profile_path: str | None, dags: DagMemo | None = None
+) -> RunMetrics:
+    """Run one cell to completion (pure function of the spec)."""
+    from repro.experiments.harness import MIN_CACHE_MB
+    from repro.simulator.engine import simulate
+
+    dag, peak_mb = _compiled_workload(cell, dags)
     cluster = _build_cluster_config(cell)
     if cell.cache_mb is not None:
         cache_mb = cell.cache_mb
     else:
         assert cell.cache_fraction is not None
-        peak = peak_live_cached_mb(dag)
-        cache_mb = max(peak * cell.cache_fraction / cluster.num_nodes, MIN_CACHE_MB)
+        cache_mb = max(peak_mb * cell.cache_fraction / cluster.num_nodes, MIN_CACHE_MB)
     store = ProfileStore(path=Path(profile_path)) if profile_path else None
     scheme = cell.scheme_spec.build(profile_store=store)
     kwargs: dict = {"scheduler": cell.scheduler}
@@ -109,12 +151,18 @@ def _execute_cell(cell: CellSpec, profile_path: str | None) -> RunMetrics:
     return metrics
 
 
-def run_cell(cell: CellSpec, profile_path: str | None = None) -> CellResult:
-    """Execute one cell, mapping any exception to an error result."""
+def run_cell(
+    cell: CellSpec, profile_path: str | None = None, dags: DagMemo | None = None
+) -> CellResult:
+    """Execute one cell, mapping any exception to an error result.
+
+    ``dags`` is a sweep's DAG memo (see the module docstring); without
+    one the cell compiles its workload DAG fresh.
+    """
     fingerprint = cell.fingerprint()
     start = time.perf_counter()
     try:
-        metrics = _execute_cell(cell, profile_path)
+        metrics = _execute_cell(cell, profile_path, dags)
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return CellResult(
             fingerprint=fingerprint,
@@ -136,9 +184,18 @@ def run_cell(cell: CellSpec, profile_path: str | None = None) -> CellResult:
     )
 
 
+#: The DAG memo of a pool worker process (set by :func:`_init_pool_worker`).
+_pool_dags: DagMemo | None = None
+
+
+def _init_pool_worker() -> None:
+    global _pool_dags
+    _pool_dags = {}
+
+
 def _pool_entry(task: tuple[CellSpec, str | None]) -> CellResult:
     cell, profile_path = task
-    return run_cell(cell, profile_path)
+    return run_cell(cell, profile_path, _pool_dags)
 
 
 @dataclass
@@ -339,11 +396,14 @@ def run_cells(
             time.sleep(poll_s)
     elif pending:
         if jobs == 1:
-            for task in pending:
-                _record(_pool_entry(task))
+            dags: DagMemo = {}
+            for cell, profile_path in pending:
+                _record(run_cell(cell, profile_path, dags))
         else:
             ctx = _pool_context()
-            pool = ctx.Pool(processes=min(jobs, len(pending)))
+            pool = ctx.Pool(
+                processes=min(jobs, len(pending)), initializer=_init_pool_worker
+            )
             try:
                 for result in pool.imap_unordered(_pool_entry, pending, chunksize=1):
                     _record(result)

@@ -47,7 +47,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sweep.runner import run_cell
+from repro.sweep.runner import DagMemo, run_cell
 from repro.sweep.spec import CellSpec
 from repro.sweep.store import CellResult, ResultStore, atomic_write_text
 
@@ -477,7 +477,11 @@ def run_worker(
     }
     write_worker_heartbeat(store, worker_id)
 
-    pending = list(grid)  # manifest cells are fingerprint-unique and sorted
+    # Manifest cells are fingerprint-unique and fingerprint-sorted;
+    # draining them workload-major (stable, so every worker still walks
+    # one shared order) lets the DAG memo compile each workload once.
+    pending = sorted(grid, key=lambda cell: cell.workload)
+    dags: DagMemo = {}
     while pending:
         made_progress = False
         still_pending: list[CellSpec] = []
@@ -518,7 +522,7 @@ def run_worker(
                 )
                 heartbeat.start()
                 try:
-                    result = run_cell(cell, profile_path)
+                    result = run_cell(cell, profile_path, dags)
                 finally:
                     heartbeat.stop()
                 store.put(result)

@@ -217,10 +217,10 @@ class TestRunWorker:
         executed: list[str] = []
         lock = threading.Lock()
 
-        def counting_run_cell(cell, profile_path=None):
+        def counting_run_cell(cell, profile_path=None, dags=None):
             with lock:
                 executed.append(cell.fingerprint())
-            return run_cell(cell, profile_path)
+            return run_cell(cell, profile_path, dags)
 
         monkeypatch.setattr(service, "run_cell", counting_run_cell)
         store = ResultStore(tmp_path / "shared")
