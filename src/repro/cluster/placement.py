@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import abc
 from bisect import insort
+from collections.abc import Sequence
 
 #: Placement scheme names understood by :func:`build_placement`.
 PLACEMENTS = ("stride", "rendezvous")
@@ -70,6 +71,22 @@ class PlacementPolicy(abc.ABC):
     def place(self, partition: int) -> int:
         """Live node id owning ``partition``."""
 
+    def tasks_by_node(
+        self, num_tasks: int, num_nodes: int
+    ) -> Sequence[Sequence[int]]:
+        """Partitions ``0..num_tasks-1`` grouped by owning node.
+
+        Entry ``n`` lists node ``n``'s partitions in ascending order
+        (empty for nodes that own none, or are not live).  Partitions
+        are resolved through :meth:`place` in ascending order, so sticky
+        schemes pin exactly what a per-partition loop would.
+        """
+        groups: list[list[int]] = [[] for _ in range(num_nodes)]
+        place = self.place
+        for p in range(num_tasks):
+            groups[place(p)].append(p)
+        return groups
+
     def node_joined(self, node_id: int) -> None:
         if node_id in self._live:
             raise ValueError(f"node {node_id} is already live")
@@ -92,6 +109,17 @@ class StridePlacement(PlacementPolicy):
     def place(self, partition: int) -> int:
         live = self._live
         return live[partition % len(live)]
+
+    def tasks_by_node(
+        self, num_tasks: int, num_nodes: int
+    ) -> Sequence[Sequence[int]]:
+        """One stride ``range`` per live node: nothing allocated per task."""
+        live = self._live
+        stride = len(live)
+        groups: list[Sequence[int]] = [range(0)] * num_nodes
+        for i, node_id in enumerate(live):
+            groups[node_id] = range(i, num_tasks, stride)
+        return groups
 
 
 class RendezvousPlacement(PlacementPolicy):

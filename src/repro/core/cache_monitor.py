@@ -7,8 +7,9 @@ fall-through to the shared :class:`MrdManager` for monitors that were
 never wired through a control plane (unit tests, direct construction) —
 and picks eviction victims locally: the block with the *greatest*
 reference distance goes first, infinite-distance blocks leading, ties
-broken by least recent use.  It also reports cache status back to the
-manager (``reportCacheStatus`` in the paper's API table).
+broken by a stable rule (:data:`TIE_BREAKERS`).  It also reports cache
+status back to the manager (``reportCacheStatus`` in the paper's API
+table).
 
 Under the ``rpc`` control plane the broadcast arrives late, so the
 monitor evicts against the *previous* boundary's distances until the
@@ -18,7 +19,6 @@ has to live with.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, insort
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -111,8 +111,6 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         self.node_id = node_id
         self.manager = manager
         self.tie_breaker = tie_breaker
-        self._touch = itertools.count()
-        self._last_touch: dict[BlockId, int] = {}
         #: Block sizes observed at insertion (for the "size" rule).
         self._sizes: dict[BlockId, float] = {}
         #: Key column lags the distance view until the first batch
@@ -133,7 +131,6 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         return self.manager.distance(rdd_id)
 
     def on_insert(self, block: Block) -> None:
-        self._last_touch[block.id] = next(self._touch)
         self._sizes[block.id] = block.size_mb
         if self._store is not None and not self._keys_dirty:
             self._store.set_key(block.id, -self.lookup_distance(block.id.rdd_id))
@@ -141,7 +138,7 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
             insort(self._order, (self._evict_key(block.id), block.id))
 
     def on_access(self, block: Block) -> None:
-        self._last_touch[block.id] = next(self._touch)
+        """Reads leave the order alone: ``_evict_key`` has no recency term."""
 
     def on_table_update(self, seq: int, distances: Mapping[int, float]) -> bool:
         applied = super().on_table_update(seq, distances)
@@ -179,7 +176,6 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
                 del order[i]
             else:  # pragma: no cover - defensive: untracked removal
                 self._order = None
-        self._last_touch.pop(block_id, None)
         self._sizes.pop(block_id, None)
 
     def eviction_order(self, store: MemoryStore) -> Iterator[BlockId]:

@@ -258,11 +258,10 @@ class MrdManager:
         }
         issued = {n.node_id: 0 for n in live_nodes}
         # Worst (largest) resident distance per node, for the guarded
-        # forced-prefetch path; computed once per stage boundary.
-        worst_resident = {
-            m.node.node_id: self._worst_cached_distance(m)
-            for m in master.live_managers()
-        }
+        # forced-prefetch paths.  Computed on a node's first block that
+        # does not fit: this loop mutates no store, so the value is the
+        # same whenever it is read.
+        worst_resident: dict[int, float] = {}
         orders: list[Block] = []
         managers = master.managers
         place = master.placement.place
@@ -293,20 +292,19 @@ class MrdManager:
                 fits = size_mb <= free[node_id]
                 cap = capacity[node_id]
                 above_threshold = cap > 0 and free[node_id] / cap >= threshold
-                if not fits:
-                    if above_threshold:
-                        # Paper's aggressive path: free memory beyond the
-                        # threshold, prefetch even if it forces evictions
-                        # (unguarded unless configured otherwise).
-                        if cfg.guarded_prefetch and worst_resident[node_id] <= dist:
-                            continue
-                    else:
-                        # Below the threshold: forced prefetch is allowed
-                        # only when the incoming block is strictly more
-                        # urgent than the worst resident block — the
-                        # CacheMonitor's local memory-pressure decision.
-                        if worst_resident[node_id] <= dist:
-                            continue
+                # A block that does not fit forces evictions.  Above the
+                # threshold that is the paper's aggressive path, unguarded
+                # unless configured otherwise.  Below it, forced prefetch
+                # is allowed only when the incoming block is strictly more
+                # urgent than the worst resident block — the
+                # CacheMonitor's local memory-pressure decision.
+                if not fits and (cfg.guarded_prefetch or not above_threshold):
+                    worst = worst_resident.get(node_id)
+                    if worst is None:
+                        worst = self._worst_cached_distance(mgr)
+                        worst_resident[node_id] = worst
+                    if worst <= dist:
+                        continue
                 orders.append(Block(id=bid, size_mb=size_mb, rdd_name=rdd_name))
                 issued[node_id] += 1
                 issued_total += 1

@@ -44,7 +44,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import deque
+from collections.abc import Sequence
+from operator import itemgetter
 
 from repro.cluster.block import Block, BlockId, block_of
 from repro.cluster.block_manager import AccessOutcome, BlockManager
@@ -170,13 +173,13 @@ class SparkSimulator:
         #: callbacks compare it against a message's ``issued_seq`` to
         #: judge staleness.
         self._current_seq = 0
-        #: Time-ordered prefetch completions: ``(done, seq, node_id,
-        #: block_id)``.  ``seq`` is a monotone issue counter so entries
-        #: with equal completion times pop in issue order and block ids
-        #: are never compared.  Entries are invalidated lazily — a
-        #: prefetch completed early (a task waited on it) or cancelled
-        #: (node failure) no longer matches the manager's in-flight dict
-        #: and is dropped on pop.
+        #: Time-ordered prefetch completions: ``(done, node_id, seq,
+        #: block_id)``.  Equal completion times pop in node order, then
+        #: issue order (``seq`` is a monotone issue counter, so block ids
+        #: are never compared) — the reference core's order.  Entries
+        #: are invalidated lazily — a prefetch completed early (a task
+        #: waited on it) or cancelled (node failure) no longer matches
+        #: the manager's in-flight dict and is dropped on pop.
         self._prefetch_heap: list[tuple[float, int, int, BlockId]] = []
         self._prefetch_seq = 0
         self._unpersist_by_job: dict[int, list[int]] = {}
@@ -565,12 +568,10 @@ class SparkSimulator:
             fixed_io + base_compute / node.cpu_factor for node in self.cluster.nodes
         ]
 
-    def _pending_by_node(self, stage: Stage) -> list[deque[int]]:
+    def _pending_by_node(self, stage: Stage) -> Sequence[Sequence[int]]:
+        """Each node's task partitions, ascending (locality-aligned)."""
         master = self.cluster.master
-        pending: list[deque[int]] = [deque() for _ in range(master.num_nodes)]
-        for p in range(stage.num_tasks):
-            pending[master.task_node_id(p)].append(p)
-        return pending
+        return master.placement.tasks_by_node(stage.num_tasks, master.num_nodes)
 
     def _run_stage(self, stage: Stage, start: float) -> float:
         assert self.cluster is not None
@@ -600,9 +601,16 @@ class SparkSimulator:
         completions on one slot thus batch through the core in one step
         — no push/pop per task — while preserving the reference core's
         global start-time order exactly.
+
+        A *cache-inert* stage (no cached reads, no cached writes) skips
+        the heap entirely: :meth:`_run_inert_stage` computes its end in
+        closed form, one wave chain per node.
         """
         per_node_fixed = self._stage_costs(stage)
-        pending = self._pending_by_node(stage)
+        tasks = self._pending_by_node(stage)
+        if not stage.cache_reads and not stage.cache_writes:
+            return self._run_inert_stage(tasks, per_node_fixed, start)
+        pending = [deque(partitions) for partitions in tasks]
         ready: list[tuple[float, int]] = [
             (start, node_id)
             for node_id, node in enumerate(self.cluster.nodes)
@@ -653,13 +661,81 @@ class SparkSimulator:
                 t0 = t_end
         return stage_end
 
+    def _run_inert_stage(
+        self,
+        tasks: Sequence[Sequence[int]],
+        per_node_fixed: list[float],
+        start: float,
+    ) -> float:
+        """Closed form of the event loop for a cache-inert stage.
+
+        Such a task reads and writes no cached block, so it ends exactly
+        ``fixed`` after it starts and changes no cache state; a node's
+        slots therefore run in lockstep waves.  A node with k tasks and
+        s slots runs ⌈k/s⌉ waves starting at the chain ``start,
+        start + f, (start + f) + f, …`` — repeated addition, exactly as
+        the loop accumulates ``t_end = t0 + fixed``, so the floats are
+        identical — and the stage ends at the latest chain end.
+
+        What the loop would still do mid-stage is apply control
+        deliveries and prefetch completions before each task start.
+        Each due head is applied at the first task start at or after it
+        (a bisect per node's chain), with the loop's pump-then-apply
+        order; neither step leaves anything due at that start, so the
+        next head is strictly later.
+        """
+        nodes = self.cluster.nodes
+        # One chain per busy node: its wave starts, then its end.
+        chains: list[list[float]] = []
+        stage_end = start
+        last_start = -math.inf
+        for node_id, partitions in enumerate(tasks):
+            if not partitions:
+                continue
+            fixed = per_node_fixed[node_id]
+            chain = [start]
+            t = start
+            for _ in range(-(-len(partitions) // nodes[node_id].num_slots)):
+                t = t + fixed
+                chain.append(t)
+            chains.append(chain)
+            stage_end = max(stage_end, t)
+            last_start = max(last_start, chain[-2])
+
+        control = self.control
+        control_heap = control.heap
+        prefetch_heap = self._prefetch_heap
+        while True:
+            due = min(
+                control_heap[0][0] if control_heap else math.inf,
+                prefetch_heap[0][0] if prefetch_heap else math.inf,
+            )
+            if due > last_start:
+                return stage_end
+            # Chain index -1 is the chain's end, not a task start.
+            t0 = min(
+                chain[i]
+                for chain in chains
+                if (i := bisect_left(chain, due, 0, len(chain) - 1)) < len(chain) - 1
+            )
+            if control_heap and control_heap[0][0] <= t0:
+                control.pump(t0)
+            if prefetch_heap and prefetch_heap[0][0] <= t0:
+                self._apply_due_prefetches(t0)
+
     def _run_stage_reference(self, stage: Stage, start: float) -> float:
         """Reference core: per-node slot heaps + a ``min()`` over all
         nodes per task — O(tasks × nodes), the executable specification
         the event core is verified against."""
-        num_nodes = self.cluster.master.num_nodes
+        master = self.cluster.master
+        num_nodes = master.num_nodes
         per_node_fixed = self._stage_costs(stage)
-        pending = self._pending_by_node(stage)
+        # Per-task placement, deliberately not ``_pending_by_node``: this
+        # grouping is the spec ``PlacementPolicy.tasks_by_node`` is
+        # checked against.
+        pending: list[deque[int]] = [deque() for _ in range(num_nodes)]
+        for p in range(stage.num_tasks):
+            pending[master.task_node_id(p)].append(p)
         slots: list[list[float]] = [
             [start] * node.num_slots for node in self.cluster.nodes
         ]
@@ -1024,7 +1100,7 @@ class SparkSimulator:
         self._prefetch_seq += 1
         heapq.heappush(
             self._prefetch_heap,
-            (done, self._prefetch_seq, mgr.node.node_id, block.id),
+            (done, mgr.node.node_id, self._prefetch_seq, block.id),
         )
         mgr.stats.prefetches_issued += 1
         rec = self.recorder
@@ -1037,17 +1113,24 @@ class SparkSimulator:
     def _apply_due_prefetches(self, t: float) -> None:
         assert self.cluster is not None
         if self.scheduler == "reference":
-            for mgr in self.cluster.master.managers:
-                if not mgr.inflight_prefetch:
-                    continue
-                due = [bid for bid, done in mgr.inflight_prefetch.items() if done <= t]
-                for bid in due:
-                    self._complete_prefetch(mgr, bid)
+            # Completion-time order; the stable sort keeps node order,
+            # then issue order (in-flight dicts are insertion-ordered),
+            # for equal times.
+            due = [
+                (done, mgr, bid)
+                for mgr in self.cluster.master.managers
+                if mgr.inflight_prefetch
+                for bid, done in mgr.inflight_prefetch.items()
+                if done <= t
+            ]
+            due.sort(key=itemgetter(0))
+            for _, mgr, bid in due:
+                self._complete_prefetch(mgr, bid)
             return
         heap = self._prefetch_heap
         managers = self.cluster.master.managers
         while heap and heap[0][0] <= t:
-            done, _, node_id, bid = heapq.heappop(heap)
+            done, node_id, _, bid = heapq.heappop(heap)
             mgr = managers[node_id]
             # Lazy invalidation: skip entries whose transfer was already
             # consumed by a waiting task or cancelled by a node failure.

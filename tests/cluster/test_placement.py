@@ -235,3 +235,47 @@ def test_placement_history_is_deterministic(partitions, initial, events):
     for kind, node in applied:
         (b.node_joined if kind == "join" else b.node_left)(node)
     assert [a.place(p) for p in partitions] == [b.place(p) for p in partitions]
+
+
+# ----------------------------------------------------------------------
+# tasks_by_node: the engine's one-call grouping of a stage's tasks
+# ----------------------------------------------------------------------
+def _grouped_by_place(policy, num_tasks: int, num_nodes: int) -> list[list[int]]:
+    """The per-partition spec: ``place(p)`` for p ascending."""
+    groups: list[list[int]] = [[] for _ in range(num_nodes)]
+    for p in range(num_tasks):
+        groups[policy.place(p)].append(p)
+    return groups
+
+
+def test_stride_tasks_by_node_allocates_nothing_per_task():
+    policy = StridePlacement([0, 2, 3])
+    groups = policy.tasks_by_node(10, 5)
+    assert all(isinstance(g, range) for g in groups)
+    assert [list(g) for g in groups] == [[0, 3, 6, 9], [], [1, 4, 7], [2, 5, 8], []]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(PLACEMENTS),
+    num_tasks=st.integers(0, 60),
+    initial=st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True),
+    events=_events,
+)
+def test_tasks_by_node_matches_per_partition_place(name, num_tasks, initial, events):
+    """Across any join/leave history, ``tasks_by_node`` equals grouping
+    ``place(p)`` over p — and rendezvous is left with the same pins, in
+    the same order, as the per-partition loop."""
+    spec = build_placement(name, initial)
+    fast = build_placement(name, initial)
+
+    def check() -> None:
+        expected = _grouped_by_place(spec, num_tasks, 10)
+        assert [list(g) for g in fast.tasks_by_node(num_tasks, 10)] == expected
+        if name == "rendezvous":
+            assert list(fast._assigned.items()) == list(spec._assigned.items())
+
+    check()
+    for kind, node in _apply(spec, events):
+        (fast.node_joined if kind == "join" else fast.node_left)(node)
+        check()

@@ -7,17 +7,27 @@ the contract down: identical :class:`RunMetrics` — times, counters,
 per-node ratios, stage records — on every registered workload under
 every registered policy, plus the edge paths (failure injection,
 unpersist-in-flight, trace recording) the happy path doesn't exercise.
+
+Cache-inert stages (no cached reads or writes) take the event core's
+closed form instead of its slot heap; the last section pins that path
+down against the reference core's per-task loop.
 """
 
 from __future__ import annotations
+
+import heapq
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.block import BlockId
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.memory_store import store_mode
-from repro.control.plane import RpcConfig
+from repro.cluster.placement import PLACEMENTS
+from repro.control.messages import PurgeOrder
+from repro.control.plane import RpcConfig, RpcControlPlane
 from repro.dag.dag_builder import build_dag
 from repro.experiments.harness import build_workload_dag, cache_mb_for
 from repro.simulator.engine import SCHEDULERS, SparkSimulator, simulate
@@ -201,3 +211,171 @@ def test_unknown_scheduler_rejected():
     dag = build_workload_dag("KM", partitions=8)
     with pytest.raises(ValueError, match="scheduler"):
         SparkSimulator(dag, CLUSTER, build_scheme("lru"), scheduler="fifo")
+
+
+# ----------------------------------------------------------------------
+# cache-inert stages: the event core's closed form vs the per-task loop
+# ----------------------------------------------------------------------
+def run_both_recorded(dag, cfg, scheme_name: str, **kwargs) -> list[tuple]:
+    """Per core: the metrics fingerprint and the recorded event stream."""
+    results = []
+    for scheduler in SCHEDULERS:
+        recorder = TraceRecorder()
+        metrics = simulate(dag, cfg, build_scheme(scheme_name),
+                           scheduler=scheduler, recorder=recorder, **kwargs)
+        results.append(
+            (fingerprint(metrics), [ev.to_dict() for ev in recorder.events])
+        )
+    return results
+
+
+def inert_case_kwargs(seed: int, rpc: bool, placement: str, churn: bool) -> dict:
+    """Engine options for the inert-stage cases: an optional lossy,
+    jittered rpc plane with a control outage, and optional churn."""
+    kwargs: dict = {"placement": placement}
+    plan = FailurePlan()
+    if rpc:
+        kwargs["control_plane"] = "rpc"
+        kwargs["control_config"] = RpcConfig(
+            latency_s=0.2, jitter_s=0.3, loss_rate=0.05, seed=seed
+        )
+        plan.add_outage(from_seq=2, to_seq=4, loss_rate=0.5)
+    if churn:
+        plan.add_join(at_seq=2).add_decommission(at_seq=5)
+    if plan.outages or plan.memberships:
+        kwargs["failure_plan"] = plan
+    return kwargs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 60),
+    num_jobs=st.integers(2, 6),
+    partitions=st.integers(3, 13),
+    num_nodes=st.integers(2, 5),
+    slots=st.integers(1, 3),
+    heterogeneity=st.floats(0.05, 0.6),
+    cache=st.floats(4.0, 120.0),
+    scheme_name=st.sampled_from(["lru", "mrd", "mrd-prefetch"]),
+    rpc=st.booleans(),
+    placement=st.sampled_from(PLACEMENTS),
+    churn=st.booleans(),
+)
+def test_inert_stages_equivalent_on_random_applications(
+    seed, num_jobs, partitions, num_nodes, slots, heterogeneity, cache,
+    scheme_name, rpc, placement, churn,
+):
+    """Random applications with inert stages: heterogeneous per-node
+    costs, task counts that need not divide nodes x slots, rpc
+    deliveries and MRD prefetch completions falling due mid-stage,
+    rendezvous placement under churn.  Metrics and the recorded event
+    stream must equal the reference core's."""
+    dag = build_dag(generate_application(seed, SyntheticConfig(
+        num_jobs=num_jobs, partitions=partitions, cache_probability=0.3,
+    )))
+    cfg = ClusterConfig(
+        num_nodes=num_nodes, slots_per_node=slots, cache_mb_per_node=cache,
+        heterogeneity=heterogeneity, heterogeneity_seed=seed,
+    )
+    kwargs = inert_case_kwargs(seed, rpc, placement, churn)
+    event, reference = run_both_recorded(dag, cfg, scheme_name, **kwargs)
+    assert event == reference
+
+
+def test_inert_stages_apply_deliveries_and_prefetches_mid_stage(monkeypatch):
+    """The random suite is only as good as its coverage: on this
+    application, rpc deliveries and prefetch completions really do fall
+    due inside inert stages — and both cores still agree."""
+    seen: Counter[str] = Counter()
+    inside: list[bool] = []
+    run_inert = SparkSimulator._run_inert_stage
+    pump = RpcControlPlane.pump
+    apply_due = SparkSimulator._apply_due_prefetches
+
+    def spy_inert(self, *args):
+        seen["inert"] += 1
+        inside.append(True)
+        try:
+            return run_inert(self, *args)
+        finally:
+            inside.pop()
+
+    def spy_pump(self, t):
+        seen["pump"] += bool(inside)
+        return pump(self, t)
+
+    def spy_apply(self, t):
+        seen["apply"] += bool(inside)
+        return apply_due(self, t)
+
+    monkeypatch.setattr(SparkSimulator, "_run_inert_stage", spy_inert)
+    monkeypatch.setattr(RpcControlPlane, "pump", spy_pump)
+    monkeypatch.setattr(SparkSimulator, "_apply_due_prefetches", spy_apply)
+    dag = build_dag(generate_application(4, SyntheticConfig(
+        num_jobs=5, partitions=7, cache_probability=0.3,
+    )))
+    cfg = ClusterConfig(
+        num_nodes=3, slots_per_node=2, cache_mb_per_node=30.0,
+        heterogeneity=0.3, heterogeneity_seed=4,
+    )
+    kwargs = inert_case_kwargs(4, rpc=True, placement="stride", churn=False)
+    event, reference = run_both_recorded(dag, cfg, "mrd", **kwargs)
+    assert event == reference
+    assert seen["inert"] > 0 and seen["pump"] > 0 and seen["apply"] > 0
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_inert_stage_applies_due_heads_at_next_wave_start(scheduler):
+    """Hand-built: a prefetch completion due at f/4 and a control
+    delivery due at 3f/4, both between the first two wave starts (0 and
+    f).  Each core applies both at the second wave's start, delivery
+    first (pump before prefetches, as the loop orders them), and the
+    stage ends after three waves."""
+    dag = build_dag(generate_application(0, SyntheticConfig(
+        num_jobs=2, partitions=24, cache_probability=0.0,
+    )))
+    sim = SparkSimulator(dag, CLUSTER, build_scheme("lru"), scheduler=scheduler,
+                         control_plane="rpc", control_config=RpcConfig())
+    sim._start_run(0.0)
+    stage = dag.active_stages[0]
+    assert not stage.cache_reads and not stage.cache_writes
+    # 24 tasks over 4 nodes x 2 slots: three waves of one chain.
+    fixed = sim._stage_costs(stage)
+    assert len(set(fixed)) == 1
+    f = fixed[0]
+
+    log: list[tuple[str, float]] = []
+    clock = {"pump": -1.0, "apply": -1.0}
+    pump = sim.control.pump
+    apply_due = sim._apply_due_prefetches
+    complete = sim._complete_prefetch
+
+    def timed_pump(t):
+        clock["pump"] = t
+        pump(t)
+
+    def timed_apply(t):
+        clock["apply"] = t
+        apply_due(t)
+
+    def logged_complete(mgr, bid):
+        log.append(("complete", clock["apply"]))
+        complete(mgr, bid)
+
+    def deliver(msg, at):
+        log.append(("deliver", clock["pump"]))
+        return False
+
+    sim.control.pump = timed_pump
+    sim._apply_due_prefetches = timed_apply
+    sim._complete_prefetch = logged_complete
+    mgr = sim.cluster.master.managers[0]
+    bid = BlockId(10_000, 0)  # on no disk: the completion cancels
+    mgr.inflight_prefetch[bid] = f / 4
+    heapq.heappush(sim._prefetch_heap, (f / 4, 0, 0, bid))
+    order = PurgeOrder(sent_at=0.0, node_id=0, rdd_id=10_000, issued_seq=0)
+    heapq.heappush(sim.control.heap, (3 * f / 4, 0, order, deliver))
+
+    end = sim._run_stage(stage, 0.0)
+    assert log == [("deliver", f), ("complete", f)]
+    assert end == 0.0 + f + f + f
