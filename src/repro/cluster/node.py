@@ -57,6 +57,15 @@ class WorkerNode:
         self.io_free_at = done
         return done
 
+    def clear(self) -> None:
+        """Drop every stored block and idle the disk channel (the node
+        left the cluster; unmigrated blocks die here)."""
+        for bid in list(self.memory.block_ids()):
+            self.memory.remove(bid)
+        for bid in list(self.disk.block_ids()):
+            self.disk.remove(bid)
+        self.io_free_at = 0.0
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WorkerNode({self.node_id} slots={self.num_slots} "

@@ -10,7 +10,6 @@ the tests compare every other policy against.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
@@ -31,17 +30,16 @@ class BeladyPolicy(EvictionPolicy):
         if oracle.visibility != "recurring":
             raise ValueError("Belady's MIN requires the full (recurring) trace")
         self._oracle = oracle
-        self._touch = itertools.count()
-        self._last_touch: dict[BlockId, int] = {}
 
+    # MIN ranks by the oracle alone: no per-block state to maintain.
     def on_insert(self, block: Block) -> None:
-        self._last_touch[block.id] = next(self._touch)
+        pass
 
     def on_access(self, block: Block) -> None:
-        self._last_touch[block.id] = next(self._touch)
+        pass
 
     def on_remove(self, block_id: BlockId) -> None:
-        self._last_touch.pop(block_id, None)
+        pass
 
     def eviction_order(self, store: MemoryStore) -> Iterator[BlockId]:
         # Furthest next use first; never-again-used blocks lead.  Ties

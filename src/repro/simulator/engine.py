@@ -254,7 +254,10 @@ class SparkSimulator:
         self._plan_stage = None
         self._plan = None
         self._plan_cache = {}
-        self._membership_changed = False
+        # A fresh cluster starts at epoch 0; under tenancy a late arrival's
+        # master starts past it when dead slots were retired at attach,
+        # and those slots must weigh zero in its presence fractions.
+        self._membership_changed = self.cluster.master.epoch > 0
         self._nodes_joined = 0
         self._nodes_decommissioned = 0
         self._rebalanced_blocks = 0
@@ -289,10 +292,6 @@ class SparkSimulator:
             self.cluster_config, self.scheme.policy_factory,
             placement=self.placement,
         )
-
-    def _make_worker(self, node_id: int) -> WorkerNode:
-        """Node for an elastic join (tenancy overrides the policy)."""
-        return make_worker(self.cluster_config, node_id, self.scheme.policy_factory)
 
     def _register_workers(self, now: float) -> None:
         # Initial worker registration is synchronous on every plane:
@@ -359,6 +358,8 @@ class SparkSimulator:
         self._dispatch_stage_orders(stage.seq, orders, now)
 
     def _record_stage(self, stage: Stage, start: float, end: float) -> None:
+        for rdd in stage.cache_writes:
+            self.scheme.on_block_created(rdd.id)
         rec = self.recorder
         if rec.enabled:
             rec.now = end
@@ -453,13 +454,9 @@ class SparkSimulator:
                 self._join_node(event.node_id, now)
             else:
                 self._decommission_node(event.node_id, now)
-        if events:
-            # Placement may have moved: drop the current-stage plan memo.
-            self._plan_stage = None
-            self._plan = None
 
     def _join_node(self, node_id: int | None, now: float) -> None:
-        """Grow the live set; the node registers through the §4.4 path."""
+        """Grow the live set by a fresh node or a decommissioned slot."""
         assert self.cluster is not None
         master = self.cluster.master
         if node_id is None:
@@ -469,7 +466,31 @@ class SparkSimulator:
                 return  # pinned join of a live node: nothing to do
             node = self.cluster.nodes[node_id]  # a decommissioned slot rejoins
         else:
-            node = self._make_worker(node_id)
+            node = make_worker(self.cluster_config, node_id, self.scheme.policy_factory)
+        self._add_node(node, now)
+
+    def _decommission_node(self, node_id: int | None, now: float) -> None:
+        """Shrink the live set; the node's whole cache is rebalanced."""
+        assert self.cluster is not None
+        master = self.cluster.master
+        live = master.live_node_ids
+        if node_id is None:
+            node_id = live[-1]  # autoscaler shape: shed the newest node
+        if not master.is_live(node_id) or len(live) <= 1:
+            return  # already gone, or the last live node must stay
+        node = master.nodes[node_id]
+        self._remove_node(node_id, now, list(node.memory.blocks()))
+        node.clear()  # the node's stores leave with it
+
+    def _add_node(self, node: WorkerNode, now: float) -> BlockManager:
+        """This driver's side of a join: ``node`` enters placement and
+        registers through the §4.4 path.  Returns its block manager.
+
+        Tenancy calls this once per active application for a shared
+        node, after giving the application a tenant policy on it.
+        """
+        assert self.cluster is not None
+        master = self.cluster.master
         mgr = master.add_node(node)
         mgr.distance_source = self.scheme.reference_distance
         rec = self.recorder
@@ -478,39 +499,41 @@ class SparkSimulator:
         while len(self._live_time) < master.num_nodes:
             self._live_time.append(0.0)
             self._live_since.append(now)
-        self._live_since[node_id] = now
+        self._live_since[node.node_id] = now
         self._membership_changed = True
         self._nodes_joined += 1
+        # Placement moved: drop the current-stage plan memo.
+        self._plan_stage = None
+        self._plan = None
         # On (possibly delayed) delivery the driver re-issues the current
         # distance table to the new worker, exactly like a replacement.
         self.control.send(
             WorkerRegister(
-                sent_at=now, node_id=node_id, reason="join", app_id=self.app_id
+                sent_at=now, node_id=node.node_id, reason="join", app_id=self.app_id
             ),
             self._deliver_register,
         )
+        return mgr
 
-    def _decommission_node(self, node_id: int | None, now: float) -> None:
-        """Shrink the live set, rebalancing the node's cache on the way
-        out: the run's :class:`RebalancePolicy` picks which resident
-        blocks are worth copying to their new homes (priced through the
-        destination's storage channel), the rest die with the node."""
+    def _remove_node(self, node_id: int, now: float, resident: list[Block]) -> None:
+        """This driver's side of a decommission, rebalancing ``resident``
+        (the node's blocks this driver owns) on the way out: the run's
+        :class:`RebalancePolicy` picks which are worth copying to their
+        new homes (priced through the destination's storage channel),
+        the rest die with the node.
+
+        The caller clears the node's stores afterwards — under tenancy
+        only once every active application has taken its blocks.
+        """
         assert self.cluster is not None
         master = self.cluster.master
-        live = master.live_node_ids
-        if node_id is None:
-            node_id = live[-1]  # autoscaler shape: shed the newest node
-        if not master.is_live(node_id) or len(live) <= 1:
-            return  # already gone, or the last live node must stay
         mgr = master.managers[node_id]
-        node = mgr.node
         rec = self.recorder
         if rec.enabled:
             rec.now = now
         # In-flight prefetches die with the node.
         for bid in list(mgr.inflight_prefetch):
             mgr.cancel_inflight(bid, reason="decommissioned")
-        resident = list(node.memory.blocks())
         master.decommission_node(node_id)  # placement now excludes the node
         selected = self.rebalance.select(
             resident, lambda b: self.scheme.reference_distance(b.id.rdd_id)
@@ -535,15 +558,11 @@ class SparkSimulator:
                     from_node=node_id, to_node=dest_id, size_mb=block.size_mb,
                 ))
         self._decommission_dropped += len(resident) - len(selected)
-        # The node's stores leave with it.
-        for bid in list(node.memory.block_ids()):
-            node.memory.remove(bid)
-        for bid in list(node.disk.block_ids()):
-            node.disk.remove(bid)
-        node.io_free_at = 0.0
         self._live_time[node_id] += now - self._live_since[node_id]
         self._membership_changed = True
         self._nodes_decommissioned += 1
+        self._plan_stage = None
+        self._plan = None
         self.control.send(
             WorkerDeregister(
                 sent_at=now, node_id=node_id,
@@ -575,14 +594,9 @@ class SparkSimulator:
 
     def _run_stage(self, stage: Stage, start: float) -> float:
         assert self.cluster is not None
-        stage_end = (
-            self._run_stage_reference(stage, start)
-            if self.scheduler == "reference"
-            else self._run_stage_event(stage, start)
-        )
-        for rdd in stage.cache_writes:
-            self.scheme.on_block_created(rdd.id)
-        return stage_end
+        if self.scheduler == "reference":
+            return self._run_stage_reference(stage, start)
+        return self._run_stage_event(stage, start)
 
     def _run_stage_event(self, stage: Stage, start: float) -> float:
         """Event-queue core: one global heap of free executor slots.

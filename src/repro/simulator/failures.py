@@ -267,7 +267,8 @@ class FailurePlan:
             for bid in list(node.memory.block_ids()):
                 node.memory.remove(bid)
                 lost += 1
-            mgr.inflight_prefetch.clear()
+            for bid in list(mgr.inflight_prefetch):
+                mgr.cancel_inflight(bid, reason="failed")
             node.io_free_at = 0.0  # the replacement's disk starts idle
             if failure.lose_disk:
                 for bid in list(node.disk.block_ids()):

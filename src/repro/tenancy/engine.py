@@ -44,14 +44,17 @@ Elastic membership
 Unlike the single-application engine's stage-boundary churn, a shared
 cluster changes size at wall-clock *times*: :class:`TimedNodeJoin` and
 :class:`TimedNodeDecommission` fire from the global heap, mid-stage if
-need be.  A join appends one shared worker node and registers it with
-every active application (each driver sends its own §4.4
-``WorkerRegister``, receiving the current distance table); a
-decommission hands each active application's resident blocks on that
-node to its :class:`~repro.cluster.rebalance.RebalancePolicy`,
-re-homes the node's queued tasks through each owner's placement, and
-retires the slot permanently.  Applications arriving later build their
-block-manager masters over the then-current live set.
+need be.  A join appends one shared worker node, gives every active
+application a tenant policy on it, and runs each driver's own side of
+the join, :meth:`SparkSimulator._add_node` (its §4.4
+``WorkerRegister``, answered with the current distance table).  A
+decommission runs each driver's :meth:`SparkSimulator._remove_node`
+over that application's resident blocks on the node (its
+:class:`~repro.cluster.rebalance.RebalancePolicy` picks what
+migrates), clears the node's stores, re-homes its queued tasks
+through each owner's placement, and retires the slot.  Applications
+arriving later build their block-manager masters over the
+then-current live set.
 """
 
 from __future__ import annotations
@@ -65,12 +68,7 @@ from repro.cluster.block_manager_master import BlockManagerMaster
 from repro.cluster.cluster import Cluster, ClusterConfig, build_cluster, make_worker
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.rebalance import REBALANCES
-from repro.control.messages import (
-    ControlMessage,
-    StageBoundary,
-    WorkerDeregister,
-    WorkerRegister,
-)
+from repro.control.messages import ControlMessage, StageBoundary
 from repro.control.plane import RpcConfig
 from repro.dag.dag_builder import ApplicationDAG, build_dag
 from repro.dag.structures import Stage
@@ -88,7 +86,6 @@ from repro.tenancy.arbitration import (
 )
 from repro.tenancy.arrivals import ArrivalProcess, FixedArrivals
 from repro.tenancy.metrics import MultiTenantMetrics
-from repro.trace.events import BlockMigrate
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import build_workload
 
@@ -170,7 +167,10 @@ class _AppDriver(SparkSimulator):
     Overrides exactly two behaviours of the standalone engine: the
     cluster it builds (a shared-node facade from the tenancy engine)
     and distance-table delivery (routed to this application's own
-    tenant policy rather than the node's composite policy).
+    tenant policy rather than the node's composite policy).  Joins and
+    decommissions reuse the standalone per-driver steps unchanged
+    (``_add_node``/``_remove_node``); the tenancy engine only adds the
+    shared-node parts around them.
     """
 
     def __init__(
@@ -367,19 +367,9 @@ class MultiTenantSimulator:
         state = self._state
         assert state is not None
         app = state.apps[driver.app_id]
-        policies = [
-            driver.scheme.policy_factory(node.node_id) for node in state.nodes
-        ]
-        driver._tenant_policies = policies
-        for node, policy in zip(state.nodes, policies):
-            composite = node.policy
-            assert isinstance(composite, ArbitratedNodePolicy)
-            composite.register_tenant(
-                app.index,
-                policy,
-                share=app.spec.share,
-                distance_of=driver.scheme.reference_distance,
-            )
+        driver._tenant_policies = []
+        for node in state.nodes:
+            self._register_tenant(driver, node.node_id)
         master = BlockManagerMaster(state.nodes, placement=self.placement)
         # A late arrival joins the cluster as it is *now*: nodes already
         # decommissioned are dead slots from this application's first
@@ -390,6 +380,30 @@ class MultiTenantSimulator:
             mgr.eviction_router = self._router_for(mgr.node.node_id)
         app.master = master
         return Cluster(config=self.cluster_config, nodes=state.nodes, master=master)
+
+    def _register_tenant(self, driver: _AppDriver, node_id: int) -> None:
+        """Give ``driver`` a tenant policy on shared node ``node_id``.
+
+        A rejoining slot keeps the (emptied) policy it already has,
+        exactly like the standalone engine reuses a decommissioned
+        node's policy.
+        """
+        state = self._state
+        assert state is not None
+        policies = driver._tenant_policies
+        if node_id < len(policies):
+            return
+        assert node_id == len(policies), "shared nodes join one at a time"
+        policy = driver.scheme.policy_factory(node_id)
+        policies.append(policy)
+        composite = state.nodes[node_id].policy
+        assert isinstance(composite, ArbitratedNodePolicy)
+        composite.register_tenant(
+            driver.app_id,
+            policy,
+            share=self.apps[driver.app_id].share,
+            distance_of=driver.scheme.reference_distance,
+        )
 
     def _router_for(self, node_id: int):
         """Eviction router: charge an evicted block to its owner app."""
@@ -417,11 +431,6 @@ class MultiTenantSimulator:
         app.arrival = t
         state.active.append(app)
         app.driver._start_run(t)
-        if state.dead:
-            # _start_run resets the churn flags after _build_cluster, so
-            # the presence weighting must be re-armed here: dead slots
-            # contribute zero presence to this app's mean hit ratio.
-            app.driver._membership_changed = True
         if not app.stages:
             self._finish_app(app, t)
             return
@@ -435,8 +444,6 @@ class MultiTenantSimulator:
         app = state.apps[index]
         stage = app.stages[app.stage_idx]
         driver = app.driver
-        for rdd in stage.cache_writes:
-            driver.scheme.on_block_created(rdd.id)
         driver._record_stage(stage, app.stage_start, t)
         app.stage_idx += 1
         if app.stage_idx < len(app.stages):
@@ -490,8 +497,9 @@ class MultiTenantSimulator:
             self._decommission_shared_node(event.node_id, t)
 
     def _join_shared_node(self, node_id: int | None, t: float) -> None:
-        """Grow the shared node set; every active application registers
-        the newcomer as a tenant target (its own §4.4 path)."""
+        """Grow the shared node set; every active application takes the
+        newcomer as a tenant target and registers it (its own §4.4
+        path)."""
         state = self._state
         assert state is not None
         if node_id is None:
@@ -516,50 +524,15 @@ class MultiTenantSimulator:
                 f"(next free id is {len(state.nodes)})"
             )
         for app in state.active:
-            driver = app.driver
-            master = app.master
-            assert master is not None
-            # A fresh slot needs this application's tenant policy on the
-            # node's composite; a rejoining slot keeps the (emptied) one
-            # it had, exactly like the standalone engine reuses a
-            # decommissioned node's policy.
-            while len(driver._tenant_policies) <= node_id:
-                nid = len(driver._tenant_policies)
-                policy = driver.scheme.policy_factory(nid)
-                driver._tenant_policies.append(policy)
-                composite = state.nodes[nid].policy
-                assert isinstance(composite, ArbitratedNodePolicy)
-                composite.register_tenant(
-                    app.index,
-                    policy,
-                    share=app.spec.share,
-                    distance_of=driver.scheme.reference_distance,
-                )
-            mgr = master.add_node(node)
+            self._register_tenant(app.driver, node_id)
+            mgr = app.driver._add_node(node, t)
             mgr.eviction_router = self._router_for(node_id)
-            mgr.distance_source = driver.scheme.reference_distance
-            rec = driver.recorder
-            if rec.enabled:
-                mgr.recorder = rec
-            while len(driver._live_time) < master.num_nodes:
-                driver._live_time.append(0.0)
-                driver._live_since.append(t)
-            driver._live_since[node_id] = t
-            driver._membership_changed = True
-            driver._nodes_joined += 1
-            driver._plan_stage = None
-            driver._plan = None
-            driver.control.send(
-                WorkerRegister(
-                    sent_at=t, node_id=node_id, reason="join", app_id=driver.app_id
-                ),
-                driver._deliver_register,
-            )
 
     def _decommission_shared_node(self, node_id: int | None, t: float) -> None:
-        """Retire a shared node: rebalance each active application's
-        resident blocks through its own policy and placement, re-home
-        the node's queued tasks, then drop the slot from liveness."""
+        """Retire a shared node: each active application rebalances its
+        resident blocks through its own policy and placement; then the
+        node's stores clear, its queued tasks re-home, and the slot
+        leaves liveness."""
         state = self._state
         assert state is not None
         live = [i for i in range(len(state.nodes)) if i not in state.dead]
@@ -569,56 +542,10 @@ class MultiTenantSimulator:
             return  # already gone, unknown, or the last node must stay
         node = state.nodes[node_id]
         for app in state.active:
-            driver = app.driver
-            master = app.master
-            assert master is not None
-            mgr = master.managers[node_id]
-            rec = driver.recorder
-            if rec.enabled:
-                rec.now = t
-            for bid in list(mgr.inflight_prefetch):
-                mgr.cancel_inflight(bid, reason="decommissioned")
             lo, hi = namespace_of(app.index)
             resident = [b for b in node.memory.blocks() if lo <= b.id.rdd_id < hi]
-            master.decommission_node(node_id)
-            selected = driver.rebalance.select(
-                resident, lambda b: driver.scheme.reference_distance(b.id.rdd_id)
-            )
-            network = driver.cost.network
-            for block in selected:
-                dest_id = master.home_node_id(block.id)
-                dest = master.managers[dest_id]
-                dest.node.io_free_at = (
-                    max(dest.node.io_free_at, t)
-                    + network.transfer_time(block.size_mb)
-                )
-                dest.insert_cached(block)
-                driver._rebalanced_blocks += 1
-                driver._rebalanced_mb += block.size_mb
-                if rec.enabled:
-                    rec.emit(BlockMigrate(
-                        t=t, rdd_id=block.id.rdd_id, partition=block.id.partition,
-                        from_node=node_id, to_node=dest_id, size_mb=block.size_mb,
-                    ))
-            driver._decommission_dropped += len(resident) - len(selected)
-            driver._live_time[node_id] += t - driver._live_since[node_id]
-            driver._membership_changed = True
-            driver._nodes_decommissioned += 1
-            driver._plan_stage = None
-            driver._plan = None
-            driver.control.send(
-                WorkerDeregister(
-                    sent_at=t, node_id=node_id,
-                    reason="decommission", app_id=driver.app_id,
-                ),
-                driver._deliver_deregister,
-            )
-        # The node's stores leave with it (unmigrated blocks die here).
-        for bid in list(node.memory.block_ids()):
-            node.memory.remove(bid)
-        for bid in list(node.disk.block_ids()):
-            node.disk.remove(bid)
-        node.io_free_at = 0.0
+            app.driver._remove_node(node_id, t, resident)
+        node.clear()  # the node's stores leave with it
         state.dead.add(node_id)
         # Re-home the dead node's queued tasks through each owner's new
         # placement, FIFO order preserved per destination.  Slots busy on

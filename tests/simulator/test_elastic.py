@@ -20,6 +20,7 @@ from repro.simulator.metrics import RunMetrics
 from repro.simulator.reporting import metrics_from_dict, metrics_to_dict
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import build_scheme
+from tests.simulator.run_digest import run_digest
 from tests.simulator.test_scheduler_equivalence import CLUSTER, fingerprint, run_both
 
 
@@ -357,3 +358,173 @@ def test_churn_trace_replays_identically_and_round_trips(tmp_path):
     path = tmp_path / "churn.jsonl"
     rec1.to_jsonl(path)
     assert TraceRecorder.from_jsonl(path).events == rec1.events
+
+
+# ----------------------------------------------------------------------
+# pinned digests: churned runs compute and record exactly what they did
+# when pinned (metrics_to_dict + the full event stream per case)
+# ----------------------------------------------------------------------
+def _bounce_plan() -> FailurePlan:
+    """A join, a pinned and an unpinned decommission, then the pinned
+    node's slot rejoins."""
+    return _churny_plan().add_join(at_seq=9, node_id=1)
+
+
+def _lossy_rpc() -> dict:
+    return {
+        "control_plane": "rpc",
+        "control_config": RpcConfig(
+            latency_s=0.2, jitter_s=0.3, loss_rate=0.05, seed=11
+        ),
+    }
+
+
+def _churn_digest(workload: str, scheme_name: str, **kwargs) -> str:
+    dag = _dag(workload)
+    recorder = TraceRecorder()
+    metrics = simulate(
+        dag, _cfg(dag), build_scheme(scheme_name), recorder=recorder, **kwargs
+    )
+    return run_digest([metrics], recorder.events)
+
+
+#: ``workload-scheme-placement-rebalance-scheduler-plane -> digest``.
+PINNED_CHURN_DIGESTS = {
+    "KM-lru-stride-drop-event-instant": "150dc62a4fd9393e",
+    "KM-lru-stride-drop-event-rpc": "25ea79e2da95e7ff",
+    "KM-lru-stride-drop-reference-instant": "150dc62a4fd9393e",
+    "KM-lru-stride-drop-reference-rpc": "25ea79e2da95e7ff",
+    "KM-lru-stride-migrate-event-instant": "0916b617b05962f4",
+    "KM-lru-stride-migrate-event-rpc": "10135e98c83c2b3f",
+    "KM-lru-stride-migrate-reference-instant": "0916b617b05962f4",
+    "KM-lru-stride-migrate-reference-rpc": "10135e98c83c2b3f",
+    "KM-lru-rendezvous-drop-event-instant": "a5d5fec83bce12c1",
+    "KM-lru-rendezvous-drop-event-rpc": "dd2b5adf920c4f4d",
+    "KM-lru-rendezvous-drop-reference-instant": "a5d5fec83bce12c1",
+    "KM-lru-rendezvous-drop-reference-rpc": "dd2b5adf920c4f4d",
+    "KM-lru-rendezvous-migrate-event-instant": "fa6eda7c5029480f",
+    "KM-lru-rendezvous-migrate-event-rpc": "19d2f3c0a7d43b73",
+    "KM-lru-rendezvous-migrate-reference-instant": "fa6eda7c5029480f",
+    "KM-lru-rendezvous-migrate-reference-rpc": "19d2f3c0a7d43b73",
+    "KM-mrd-stride-drop-event-instant": "77561d42f4fc7a6d",
+    "KM-mrd-stride-drop-event-rpc": "fa81cf0dbb3c0191",
+    "KM-mrd-stride-drop-reference-instant": "77561d42f4fc7a6d",
+    "KM-mrd-stride-drop-reference-rpc": "fa81cf0dbb3c0191",
+    "KM-mrd-stride-migrate-event-instant": "a82614ae607c32d1",
+    "KM-mrd-stride-migrate-event-rpc": "257ea382e3437629",
+    "KM-mrd-stride-migrate-reference-instant": "a82614ae607c32d1",
+    "KM-mrd-stride-migrate-reference-rpc": "257ea382e3437629",
+    "KM-mrd-rendezvous-drop-event-instant": "c544585a11492f11",
+    "KM-mrd-rendezvous-drop-event-rpc": "fff736376ead9b87",
+    "KM-mrd-rendezvous-drop-reference-instant": "c544585a11492f11",
+    "KM-mrd-rendezvous-drop-reference-rpc": "fff736376ead9b87",
+    "KM-mrd-rendezvous-migrate-event-instant": "7eb2394b0c02d995",
+    "KM-mrd-rendezvous-migrate-event-rpc": "2ac906ae7a7e2de3",
+    "KM-mrd-rendezvous-migrate-reference-instant": "7eb2394b0c02d995",
+    "KM-mrd-rendezvous-migrate-reference-rpc": "2ac906ae7a7e2de3",
+    "PR-lru-stride-drop-event-instant": "9288b72be195ce97",
+    "PR-lru-stride-drop-event-rpc": "288920ccb0827753",
+    "PR-lru-stride-drop-reference-instant": "9288b72be195ce97",
+    "PR-lru-stride-drop-reference-rpc": "288920ccb0827753",
+    "PR-lru-stride-migrate-event-instant": "a44e001a24247ef9",
+    "PR-lru-stride-migrate-event-rpc": "59f92cb7f81edc4e",
+    "PR-lru-stride-migrate-reference-instant": "a44e001a24247ef9",
+    "PR-lru-stride-migrate-reference-rpc": "59f92cb7f81edc4e",
+    "PR-lru-rendezvous-drop-event-instant": "285e511f11ef46e4",
+    "PR-lru-rendezvous-drop-event-rpc": "8691b1f3e737ac0c",
+    "PR-lru-rendezvous-drop-reference-instant": "285e511f11ef46e4",
+    "PR-lru-rendezvous-drop-reference-rpc": "8691b1f3e737ac0c",
+    "PR-lru-rendezvous-migrate-event-instant": "138da5e1678478a5",
+    "PR-lru-rendezvous-migrate-event-rpc": "178b2fbe488728ad",
+    "PR-lru-rendezvous-migrate-reference-instant": "138da5e1678478a5",
+    "PR-lru-rendezvous-migrate-reference-rpc": "178b2fbe488728ad",
+    "PR-mrd-stride-drop-event-instant": "9abb4d5921da4e7a",
+    "PR-mrd-stride-drop-event-rpc": "1e66435af4bde79e",
+    "PR-mrd-stride-drop-reference-instant": "9abb4d5921da4e7a",
+    "PR-mrd-stride-drop-reference-rpc": "1e66435af4bde79e",
+    "PR-mrd-stride-migrate-event-instant": "67cbcaf1d42ab360",
+    "PR-mrd-stride-migrate-event-rpc": "cafe270968e43faf",
+    "PR-mrd-stride-migrate-reference-instant": "67cbcaf1d42ab360",
+    "PR-mrd-stride-migrate-reference-rpc": "cafe270968e43faf",
+    "PR-mrd-rendezvous-drop-event-instant": "503425d4383fc8bc",
+    "PR-mrd-rendezvous-drop-event-rpc": "7b8739cd16a00a94",
+    "PR-mrd-rendezvous-drop-reference-instant": "503425d4383fc8bc",
+    "PR-mrd-rendezvous-drop-reference-rpc": "7b8739cd16a00a94",
+    "PR-mrd-rendezvous-migrate-event-instant": "1f1f682e595faa8f",
+    "PR-mrd-rendezvous-migrate-event-rpc": "8ecbee1bd4ffc893",
+    "PR-mrd-rendezvous-migrate-reference-instant": "1f1f682e595faa8f",
+    "PR-mrd-rendezvous-migrate-reference-rpc": "8ecbee1bd4ffc893",
+    "SVD++-lru-stride-drop-event-instant": "d271516e7dd6f631",
+    "SVD++-lru-stride-drop-event-rpc": "83341f2cd4892593",
+    "SVD++-lru-stride-drop-reference-instant": "d271516e7dd6f631",
+    "SVD++-lru-stride-drop-reference-rpc": "83341f2cd4892593",
+    "SVD++-lru-stride-migrate-event-instant": "d7ac2f438e333089",
+    "SVD++-lru-stride-migrate-event-rpc": "5b29366c11430c5c",
+    "SVD++-lru-stride-migrate-reference-instant": "d7ac2f438e333089",
+    "SVD++-lru-stride-migrate-reference-rpc": "5b29366c11430c5c",
+    "SVD++-lru-rendezvous-drop-event-instant": "cf35eca72ef29700",
+    "SVD++-lru-rendezvous-drop-event-rpc": "60c86f111afa1664",
+    "SVD++-lru-rendezvous-drop-reference-instant": "cf35eca72ef29700",
+    "SVD++-lru-rendezvous-drop-reference-rpc": "60c86f111afa1664",
+    "SVD++-lru-rendezvous-migrate-event-instant": "593476da6e2968e2",
+    "SVD++-lru-rendezvous-migrate-event-rpc": "ea2ba5e3e14b4787",
+    "SVD++-lru-rendezvous-migrate-reference-instant": "593476da6e2968e2",
+    "SVD++-lru-rendezvous-migrate-reference-rpc": "ea2ba5e3e14b4787",
+    "SVD++-mrd-stride-drop-event-instant": "aedf6247e888ea0e",
+    "SVD++-mrd-stride-drop-event-rpc": "b8f29b1f727c4149",
+    "SVD++-mrd-stride-drop-reference-instant": "aedf6247e888ea0e",
+    "SVD++-mrd-stride-drop-reference-rpc": "b8f29b1f727c4149",
+    "SVD++-mrd-stride-migrate-event-instant": "cfe7de55db6b62de",
+    "SVD++-mrd-stride-migrate-event-rpc": "086c1f53ec96880f",
+    "SVD++-mrd-stride-migrate-reference-instant": "cfe7de55db6b62de",
+    "SVD++-mrd-stride-migrate-reference-rpc": "086c1f53ec96880f",
+    "SVD++-mrd-rendezvous-drop-event-instant": "7c98f2c31c640e68",
+    "SVD++-mrd-rendezvous-drop-event-rpc": "09360e3793b2fbb4",
+    "SVD++-mrd-rendezvous-drop-reference-instant": "7c98f2c31c640e68",
+    "SVD++-mrd-rendezvous-drop-reference-rpc": "09360e3793b2fbb4",
+    "SVD++-mrd-rendezvous-migrate-event-instant": "26f61fc0517393ea",
+    "SVD++-mrd-rendezvous-migrate-event-rpc": "9050ff426dc9df7d",
+    "SVD++-mrd-rendezvous-migrate-reference-instant": "26f61fc0517393ea",
+    "SVD++-mrd-rendezvous-migrate-reference-rpc": "9050ff426dc9df7d",
+}
+
+#: ``churn-plan seed -> digest`` (KM, MRD, rendezvous, migrate).
+PINNED_CHURN_PLAN_DIGESTS = {
+    0: "2aa88813e603451e",
+    1: "c64b78e303376da5",
+    2: "7c03b46463b2cf7f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CHURN_DIGESTS))
+def test_churned_run_digest_is_pinned(case):
+    workload, scheme_name, placement, rebalance, scheduler, plane = case.split("-")
+    kwargs = _lossy_rpc() if plane == "rpc" else {}
+    digest = _churn_digest(
+        workload, scheme_name, failure_plan=_bounce_plan(),
+        placement=placement, rebalance=rebalance, scheduler=scheduler, **kwargs,
+    )
+    assert digest == PINNED_CHURN_DIGESTS[case]
+
+
+def test_pinned_churn_matrix_is_complete():
+    expected = {
+        f"{w}-{s}-{p}-{r}-{c}-{plane}"
+        for w in ("KM", "PR", "SVD++")
+        for s in ("lru", "mrd")
+        for p in ("stride", "rendezvous")
+        for r in ("drop", "migrate")
+        for c in ("event", "reference")
+        for plane in ("instant", "rpc")
+    }
+    assert set(PINNED_CHURN_DIGESTS) == expected
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_CHURN_PLAN_DIGESTS))
+def test_seeded_churn_plan_digest_is_pinned(seed):
+    stages = len(_dag().active_stages)
+    digest = _churn_digest(
+        "KM", "mrd", failure_plan=build_churn_plan(stages, 0.5, seed=seed),
+        placement="rendezvous", rebalance="migrate",
+    )
+    assert digest == PINNED_CHURN_PLAN_DIGESTS[seed]

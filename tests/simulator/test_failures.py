@@ -1,5 +1,7 @@
 """Tests for failure injection and lineage recovery (paper §4.4)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.policy import MrdScheme
@@ -7,8 +9,12 @@ from repro.policies.scheme import LruScheme
 from repro.simulator.engine import SparkSimulator, simulate
 from repro.simulator.failures import FailurePlan, NodeFailure
 from repro.dag.dag_builder import build_dag
+from repro.experiments.harness import build_workload_dag, cache_mb_for
+from repro.trace.recorder import TraceRecorder
+from repro.trace.replay import build_scheme
 from tests.conftest import make_iterative_app, make_linear_app
 from tests.simulator.test_engine import small_config
+from tests.simulator.test_scheduler_equivalence import CLUSTER
 
 
 class TestFailurePlan:
@@ -93,3 +99,38 @@ class TestLineageRecovery:
         plan = FailurePlan().add(at_seq=5, node_id=0).add(at_seq=8, node_id=1)
         metrics = simulate(dag, cfg, MrdScheme(), failure_plan=plan)
         assert metrics.jct > 0  # no stuck in-flight state
+
+
+class TestPrefetchFates:
+    """Every traced prefetch issue ends in a completion, a cancel, or is
+    still in flight when the run ends — a failure may not drop one."""
+
+    @pytest.mark.parametrize("workload", ["KM", "PR", "SVD++"])
+    def test_failure_cancels_inflight_prefetches(self, workload):
+        dag = build_workload_dag(workload, partitions=8)
+        cfg = CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER))
+        recorder = TraceRecorder()
+        sim = SparkSimulator(
+            dag, cfg, build_scheme("mrd"),
+            failure_plan=FailurePlan().add(at_seq=2, node_id=0),
+            recorder=recorder,
+        )
+        sim.run()
+        kinds = Counter(ev.kind for ev in recorder.events)
+        in_flight = sum(
+            len(mgr.inflight_prefetch) for mgr in sim.cluster.master.managers
+        )
+        assert kinds["prefetch_issue"] > 0
+        assert kinds["prefetch_issue"] == (
+            kinds["prefetch_complete"] + kinds["prefetch_cancel"] + in_flight
+        )
+        # The failure's cancels are stamped at its stage boundary.
+        (boundary,) = [
+            ev.t for ev in recorder.events
+            if ev.kind == "stage_start" and ev.seq == 2
+        ]
+        failed = [
+            ev for ev in recorder.events
+            if ev.kind == "prefetch_cancel" and ev.reason == "failed"
+        ]
+        assert all(ev.t == boundary and ev.node_id == 0 for ev in failed)

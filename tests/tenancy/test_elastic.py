@@ -16,9 +16,11 @@ from repro.tenancy import (
     AppSpec,
     FixedArrivals,
     MultiTenantSimulator,
+    PoissonArrivals,
     TimedNodeDecommission,
     TimedNodeJoin,
 )
+from tests.simulator.run_digest import run_digest
 from tests.simulator.test_scheduler_equivalence import fingerprint
 
 CLUSTER = ClusterConfig(num_nodes=4, slots_per_node=2, cache_mb_per_node=50.0)
@@ -163,3 +165,63 @@ def test_decommissioned_slot_can_rejoin():
     assert 0.0 < m.per_node_presence[2] < 1.0
     for i in (0, 1, 3):
         assert m.per_node_presence[i] == 1.0
+
+
+# ----------------------------------------------------------------------
+# pinned digests: churned multi-tenant runs compute exactly what they
+# did when pinned (every app's metrics_to_dict plus the makespan)
+# ----------------------------------------------------------------------
+_LOSSY_RPC = RpcConfig(latency_s=0.2, jitter_s=0.3, loss_rate=0.05, seed=11)
+
+#: Churn mixes: a rejoin, a late arrival after a decommission, and the
+#: maxmin and global-mrd arbitrations under churn.
+CHURN_MIXES = {
+    "rejoin": dict(
+        apps=[KM, AppSpec(workload="PR", scheme="LRU", partitions=8)],
+        arrivals=FixedArrivals(interval=10.0),
+        placement="rendezvous",
+        rebalance="migrate",
+        memberships=(TimedNodeDecommission(at=5.0, node_id=2),
+                     TimedNodeJoin(at=15.0),
+                     TimedNodeJoin(at=25.0, node_id=2)),
+    ),
+    "late-arrival": dict(
+        apps=[KM, AppSpec(workload="KM", scheme="LRU", partitions=8)],
+        arrivals=FixedArrivals(interval=30.0),
+        memberships=(TimedNodeDecommission(at=10.0, node_id=1),
+                     TimedNodeJoin(at=40.0)),
+    ),
+    "maxmin": dict(
+        apps=[KM, AppSpec(workload="SVD++", scheme="MRD", partitions=8, share=2.0),
+              AppSpec(workload="PR", scheme="LRU", partitions=8)],
+        arrivals=PoissonArrivals(rate=0.1, seed=3),
+        arbitration="maxmin",
+        rebalance="migrate",
+        memberships=(TimedNodeJoin(at=8.0), TimedNodeDecommission(at=20.0)),
+        control_plane="rpc",
+        control_config=_LOSSY_RPC,
+    ),
+    "global-mrd": dict(
+        apps=[KM, AppSpec(workload="PR", scheme="MRD", partitions=8)],
+        arrivals=FixedArrivals(interval=5.0),
+        arbitration="global-mrd",
+        placement="rendezvous",
+        rebalance="migrate",
+        memberships=(TimedNodeDecommission(at=12.0, node_id=0),
+                     TimedNodeJoin(at=18.0),
+                     TimedNodeJoin(at=30.0, node_id=0)),
+    ),
+}
+
+PINNED_MIX_DIGESTS = {
+    "global-mrd": "c91a7a70bac94ece",
+    "late-arrival": "a0584e9e189b0bae",
+    "maxmin": "67b1c21b4edc0e17",
+    "rejoin": "06fcc09d350b5732",
+}
+
+
+@pytest.mark.parametrize("mix", sorted(CHURN_MIXES))
+def test_churned_mix_digest_is_pinned(mix):
+    result = _mt(**CHURN_MIXES[mix]).run()
+    assert run_digest(result.apps, (), result.makespan) == PINNED_MIX_DIGESTS[mix]
