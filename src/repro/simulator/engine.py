@@ -20,9 +20,11 @@ pluggable :class:`CacheScheme`:
 Two interchangeable scheduling cores implement the start-time order
 (see ``docs/performance.md``):
 
-* ``"event"`` (default) — one global heap of ``(slot_free_time,
-  node_id)`` entries plus a time-ordered prefetch-completion heap;
-  O(log slots) per task and O(log inflight) per completion.
+* ``"event"`` (default) — :class:`EventLoop`, the one production loop:
+  a standalone run is a one-tenant run of it, and the multi-tenant
+  engine runs N applications through it on one shared cluster.  It
+  orders events and ``(slot_free_time, node_id)`` slots in two heaps;
+  each driver keeps a time-ordered prefetch-completion heap.
 * ``"reference"`` — the original loops (a ``min()`` over every node per
   task, a scan of every manager's in-flight dict per task), kept as the
   executable specification: the equivalence suite asserts both cores
@@ -46,7 +48,8 @@ import heapq
 import math
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.cluster.block import Block, BlockId, block_of
@@ -220,19 +223,25 @@ class SparkSimulator:
 
     # ------------------------------------------------------------------
     def run(self) -> RunMetrics:
-        """Simulate the whole application; returns the collected metrics."""
+        """Simulate the whole application; returns the collected metrics.
+
+        Under the event scheduler this is a one-tenant run of the shared
+        :class:`EventLoop`: the application arrives alone at 0.0.
+        """
+        if self.scheduler == "event":
+            return EventLoop([self]).run([0.0])[0]
         self._start_run(0.0)
         now = 0.0
         for stage in self.dag.active_stages:
             self._begin_stage(stage, now)
             start = now
-            now = self._run_stage(stage, start)
+            now = self._run_stage_reference(stage, start)
             self._record_stage(stage, start, now)
         return self._finish_run(now)
 
     # ------------------------------------------------------------------
-    # run lifecycle (each phase is reusable: the multi-tenant engine
-    # drives per-app copies of these around its own global event loop)
+    # run lifecycle (each phase is a step of EventLoop, which drives one
+    # driver standalone or many on a shared cluster)
     # ------------------------------------------------------------------
     def _start_run(self, now: float) -> None:
         """(Re)initialize per-run state; ``now`` is the application's
@@ -592,97 +601,17 @@ class SparkSimulator:
         master = self.cluster.master
         return master.placement.tasks_by_node(stage.num_tasks, master.num_nodes)
 
-    def _run_stage(self, stage: Stage, start: float) -> float:
-        assert self.cluster is not None
-        if self.scheduler == "reference":
-            return self._run_stage_reference(stage, start)
-        return self._run_stage_event(stage, start)
-
-    def _run_stage_event(self, stage: Stage, start: float) -> float:
-        """Event-queue core: one global heap of free executor slots.
-
-        Each entry is ``(free_time, node_id)``; tuple order makes ties
-        resolve to the lowest node id, matching the reference core's
-        ``min()`` scan.  Slots of nodes whose task queue has drained are
-        retired lazily on pop — task placement is fixed up front, so a
-        drained queue never refills within the stage.  O(log slots) per
-        task instead of O(nodes).
-
-        A popped slot *runs until preempted*: after each task it keeps
-        executing its node's next task at ``t_end`` unless another slot
-        in the heap is strictly earlier (or ties with a lower node id,
-        which the heap order would schedule first).  Same-stage
-        completions on one slot thus batch through the core in one step
-        — no push/pop per task — while preserving the reference core's
-        global start-time order exactly.
-
-        A *cache-inert* stage (no cached reads, no cached writes) skips
-        the heap entirely: :meth:`_run_inert_stage` computes its end in
-        closed form, one wave chain per node.
-        """
-        per_node_fixed = self._stage_costs(stage)
-        tasks = self._pending_by_node(stage)
-        if not stage.cache_reads and not stage.cache_writes:
-            return self._run_inert_stage(tasks, per_node_fixed, start)
-        pending = [deque(partitions) for partitions in tasks]
-        ready: list[tuple[float, int]] = [
-            (start, node_id)
-            for node_id, node in enumerate(self.cluster.nodes)
-            if pending[node_id]
-            for _ in range(node.num_slots)
-        ]
-        heapq.heapify(ready)
-
-        # Hot loop: bind everything invariant to locals.  The prefetch
-        # and control heaps are stable objects for the whole run (only
-        # mutated in place), so the peek guards replace a method call
-        # per task; the instant plane's heap is permanently empty.
-        heappop, heappush = heapq.heappop, heapq.heappush
-        prefetch_heap = self._prefetch_heap
-        control = self.control
-        control_heap = control.heap
-        run_task = self._run_task
-        stage_end = start
-        remaining = stage.num_tasks
-        while remaining:
-            t0, node_id = heappop(ready)
-            queue = pending[node_id]
-            if not queue:
-                continue  # node drained while this slot was busy: retire it
-            fixed = per_node_fixed[node_id]
-            while True:
-                # Control deliveries first: a delivered prefetch order may
-                # push an already-due completion onto the prefetch heap.
-                if control_heap and control_heap[0][0] <= t0:
-                    control.pump(t0)
-                if prefetch_heap and prefetch_heap[0][0] <= t0:
-                    self._apply_due_prefetches(t0)
-                p = queue.popleft()
-                t_end = run_task(stage, p, node_id, t0, fixed)
-                if t_end > stage_end:
-                    stage_end = t_end
-                remaining -= 1
-                if not queue:
-                    break  # node drained: retire this slot
-                if ready and (
-                    ready[0][0] < t_end
-                    or (ready[0][0] == t_end and ready[0][1] < node_id)
-                ):
-                    # Another slot is scheduled ahead of (t_end, node_id):
-                    # yield to it and requeue this slot.
-                    heappush(ready, (t_end, node_id))
-                    break
-                t0 = t_end
-        return stage_end
-
     def _run_inert_stage(
         self,
         tasks: Sequence[Sequence[int]],
         per_node_fixed: list[float],
         start: float,
     ) -> float:
-        """Closed form of the event loop for a cache-inert stage.
+        """Closed form of :class:`EventLoop` for a cache-inert stage.
 
+        The loop takes it only while the stage's application runs alone
+        with no arrival or membership event pending, so every slot of a
+        busy node is free at ``start`` and nothing else competes for it.
         Such a task reads and writes no cached block, so it ends exactly
         ``fixed`` after it starts and changes no cache state; a node's
         slots therefore run in lockstep waves.  A node with k tasks and
@@ -1177,6 +1106,267 @@ class SparkSimulator:
         assert self.cluster is not None
         for rdd_id in self._unpersist_by_job.get(job_id, ()):
             self.cluster.master.purge_rdd(rdd_id, drop_disk=True)
+
+
+#: Event kinds of :class:`EventLoop`, in their tie order at equal times:
+#: change the cluster first, then finish/advance stages, then admit new
+#: applications.  Slot frees come after every event.
+MEMBER, BARRIER, ARRIVAL = 0, 1, 2
+
+
+@dataclass(eq=False)
+class AppRun:
+    """One application's position in :class:`EventLoop`."""
+
+    index: int
+    driver: SparkSimulator
+    stages: list[Stage]
+    finish: float = 0.0
+    stage_idx: int = 0
+    #: Task batches of the current stage still queued.
+    remaining: int = 0
+    stage_start: float = 0.0
+    stage_end: float = 0.0
+    metrics: RunMetrics | None = None
+
+
+class EventLoop:
+    """The scheduling loop: applications' stages on shared executor slots.
+
+    ``drivers`` are the applications, indexed by position; a standalone
+    run passes one.  All of them must build their clusters over one
+    shared node list (the multi-tenant engine's facades do); the loop
+    gives each node a task queue and idle slots as the list grows.
+
+    The event heap holds ``(t, kind, key)``: timed membership changes
+    (``key`` indexes the caller's events, applied by
+    ``on_membership(key, t)``), stage barriers and arrivals (``key`` is
+    the application index).  The slot heap holds ``(free_time,
+    node_id)``; at equal times slots come after every event.  Tasks of
+    every application queue FIFO per node in batches ``[app, stage,
+    fixed_cost, partitions]``.  A slot that finds no work parks; the
+    next batch queued on its node wakes it at the queueing time or
+    later.  No slot in the heap is behind an unhandled event, so none
+    reaches a batch before the time it was queued.
+
+    A popped slot *runs until preempted*: it runs its node's next task
+    at ``t_end`` unless an event is due by then or another slot is
+    ahead of ``(t_end, node_id)``; while the slot heap leads, the next
+    slot is popped inline.  Before each task, every active
+    application's due control deliveries, then its due prefetch
+    completions, are applied in arrival order.  A lone application's
+    cache-inert stage runs in closed form
+    (:meth:`SparkSimulator._run_inert_stage`).
+
+    ``on_finish(app, t)`` runs after an application's metrics are
+    collected (the multi-tenant engine tears its tenant down there).
+    """
+
+    def __init__(
+        self,
+        drivers: Sequence[SparkSimulator],
+        on_membership: Callable[[int, float], None] | None = None,
+        on_finish: Callable[[AppRun, float], None] | None = None,
+    ) -> None:
+        self.apps = [
+            AppRun(index, driver, list(driver.dag.active_stages))
+            for index, driver in enumerate(drivers)
+        ]
+        #: Arrived, unfinished applications in arrival order.
+        self.active: list[AppRun] = []
+        #: The drivers' shared node list, bound at the first arrival.
+        self.nodes: Sequence[WorkerNode] = ()
+        self.events: list[tuple[float, int, int]] = []
+        self.slots: list[tuple[float, int]] = []
+        self.queues: list[deque[list]] = []
+        #: Free times of idle executor slots, per node.
+        self.parked: list[list[float]] = []
+        #: Per active application: (control plane, its delivery heap,
+        #: the driver's prefetch heap, the driver's completion step).
+        self._pumps: list[tuple[ControlPlane, list, list, Callable]] = []
+        self._on_membership = on_membership
+        self._on_finish = on_finish
+
+    def run(
+        self, arrivals: Sequence[float], memberships: Sequence[float] = ()
+    ) -> list[RunMetrics]:
+        """Run to completion: application ``i`` arrives at ``arrivals[i]``,
+        membership event ``j`` fires at ``memberships[j]``.  Returns each
+        application's metrics."""
+        events = self.events
+        for app, t in zip(self.apps, arrivals):
+            heapq.heappush(events, (t, ARRIVAL, app.index))
+        for key, t in enumerate(memberships):
+            heapq.heappush(events, (t, MEMBER, key))
+        slots = self.slots
+        while events or slots:
+            if slots and (not events or slots[0][0] < events[0][0]):
+                self._run_slots()
+                continue
+            t, kind, key = heapq.heappop(events)
+            if kind == MEMBER:
+                assert self._on_membership is not None
+                self._on_membership(key, t)
+                self._sync_nodes(t)
+            elif kind == BARRIER:
+                self._on_barrier(self.apps[key], t)
+            else:
+                self._on_arrival(self.apps[key], t)
+        metrics: list[RunMetrics] = []
+        for app in self.apps:
+            assert app.metrics is not None
+            metrics.append(app.metrics)
+        return metrics
+
+    # ------------------------------------------------------------------
+    def _on_arrival(self, app: AppRun, t: float) -> None:
+        self.active.append(app)
+        driver = app.driver
+        driver._start_run(t)
+        assert driver.cluster is not None
+        self.nodes = driver.cluster.nodes
+        # Both heaps are stable objects from here on (mutated in place).
+        control = driver.control
+        self._pumps.append(
+            (control, control.heap, driver._prefetch_heap, driver._apply_due_prefetches)
+        )
+        self._start_stage(app, t)
+
+    def _on_barrier(self, app: AppRun, t: float) -> None:
+        app.driver._record_stage(app.stages[app.stage_idx], app.stage_start, t)
+        app.stage_idx += 1
+        self._start_stage(app, t)
+
+    def _finish(self, app: AppRun, t: float) -> None:
+        app.metrics = app.driver._finish_run(t)
+        app.finish = t
+        index = self.active.index(app)
+        del self.active[index]
+        del self._pumps[index]
+        if self._on_finish is not None:
+            self._on_finish(app, t)
+
+    def _start_stage(self, app: AppRun, now: float) -> None:
+        """Begin ``app``'s next stage and queue its tasks, or finish."""
+        if app.stage_idx == len(app.stages):
+            self._finish(app, now)
+            return
+        stage = app.stages[app.stage_idx]
+        driver = app.driver
+        driver._begin_stage(stage, now)
+        self._sync_nodes(now)
+        app.remaining = 0
+        app.stage_start = app.stage_end = now
+        if not stage.num_tasks:
+            heapq.heappush(self.events, (now, BARRIER, app.index))
+            return
+        fixed = driver._stage_costs(stage)
+        tasks = driver._pending_by_node(stage)
+        if (
+            not stage.cache_reads and not stage.cache_writes
+            and len(self.active) == 1 and not self.events
+        ):
+            app.stage_end = driver._run_inert_stage(tasks, fixed, now)
+            heapq.heappush(self.events, (app.stage_end, BARRIER, app.index))
+            return
+        queues = self.queues
+        for node_id, partitions in enumerate(tasks):
+            if partitions:
+                queues[node_id].append([app, stage, fixed[node_id], deque(partitions)])
+                app.remaining += 1
+                self._wake(node_id, now)
+
+    def rehome(self, node_id: int, now: float) -> None:
+        """Move ``node_id``'s queued batches to their owners' current
+        placement, keeping FIFO order per destination.  The node's slots
+        finish their current task, then park until the node rejoins."""
+        queue = self.queues[node_id] if node_id < len(self.queues) else deque()
+        while queue:
+            app, stage, _, partitions = queue.popleft()
+            driver = app.driver
+            assert driver.cluster is not None
+            place = driver.cluster.master.task_node_id
+            by_node: dict[int, deque[int]] = {}
+            for p in partitions:
+                by_node.setdefault(place(p), deque()).append(p)
+            fixed = driver._stage_costs(stage)
+            app.remaining += len(by_node) - 1
+            for dest, moved in by_node.items():
+                self.queues[dest].append([app, stage, fixed[dest], moved])
+                self._wake(dest, now)
+
+    def _sync_nodes(self, now: float) -> None:
+        """Give every node that joined since the last call a queue and
+        idle slots."""
+        nodes = self.nodes
+        parked = self.parked
+        while len(parked) < len(nodes):
+            parked.append([now] * nodes[len(parked)].num_slots)
+            self.queues.append(deque())
+
+    def _wake(self, node_id: int, now: float) -> None:
+        """Unpark every idle slot of ``node_id`` at ``max(free, now)``."""
+        parked = self.parked[node_id]
+        for free in parked:
+            heapq.heappush(self.slots, (max(free, now), node_id))
+        parked.clear()
+
+    def _next_due(self) -> float:
+        """Earliest pending delivery or completion of any active app."""
+        due = math.inf
+        for _, control_heap, prefetch_heap, _ in self._pumps:
+            if control_heap and control_heap[0][0] < due:
+                due = control_heap[0][0]
+            if prefetch_heap and prefetch_heap[0][0] < due:
+                due = prefetch_heap[0][0]
+        return due
+
+    def _run_slots(self) -> None:
+        """Run slots, each until preempted, while the slot heap leads
+        the event heap."""
+        events = self.events
+        slots = self.slots
+        queues = self.queues
+        parked = self.parked
+        pumps = self._pumps
+        heappop, heappush = heapq.heappop, heapq.heappush
+        # Only a pump round changes the delivery and completion heaps
+        # while slots run, so their earliest head is kept between rounds.
+        due = self._next_due()
+        t0, node_id = heappop(slots)
+        while True:
+            queue = queues[node_id]
+            if queue:
+                app, stage, fixed, partitions = queue[0]
+                if due <= t0:
+                    # Control deliveries first: a delivered prefetch
+                    # order may push an already-due completion.
+                    for control, control_heap, prefetch_heap, apply_due in pumps:
+                        if control_heap and control_heap[0][0] <= t0:
+                            control.pump(t0)
+                        if prefetch_heap and prefetch_heap[0][0] <= t0:
+                            apply_due(t0)
+                    due = self._next_due()
+                t0 = app.driver._run_task(stage, partitions.popleft(), node_id, t0, fixed)
+                if t0 > app.stage_end:
+                    app.stage_end = t0
+                if not partitions:
+                    queue.popleft()
+                    app.remaining -= 1
+                    if not app.remaining:
+                        heappush(events, (app.stage_end, BARRIER, app.index))
+                slot = (t0, node_id)
+                if not events or events[0][0] > t0:
+                    if not slots or slot <= slots[0]:
+                        continue  # this slot still leads: run its next task
+                    t0, node_id = heapq.heapreplace(slots, slot)
+                    continue
+                heappush(slots, slot)
+            else:
+                parked[node_id].append(t0)
+            if not slots or (events and events[0][0] <= slots[0][0]):
+                return
+            t0, node_id = heappop(slots)
 
 
 def simulate(

@@ -9,28 +9,30 @@ runs *N* applications against one shared set of worker nodes:
 * each application keeps its own driver state — DAGScheduler position,
   cache scheme (MRD table, profiler), control plane, per-app block
   managers — wrapped in an :class:`_AppDriver`, a ``SparkSimulator``
-  whose lifecycle hooks are driven by this engine's global event loop
-  instead of its own ``run()``;
+  whose lifecycle steps the shared
+  :class:`~repro.simulator.engine.EventLoop` drives instead of its own
+  ``run()``;
 * the worker nodes are shared: one memory/disk store and one disk I/O
   channel per node, with an
   :class:`~repro.tenancy.arbitration.ArbitratedNodePolicy` deciding
   *which application* yields cache space under pressure.
 
-Global event loop
------------------
-One heap orders four event kinds: cluster **membership** changes
-(timed joins and decommissions), stage **barriers** (an application's
-active stage completed), application **arrivals**, and executor **slot**
-frees.  Ties resolve membership < barrier < arrival < slot, then by
-application index / node id, so the interleaving is fully deterministic.  Executor
+One event loop
+--------------
+Scheduling is the standalone engine's own loop,
+:class:`~repro.simulator.engine.EventLoop`: a standalone run is a
+one-tenant run of it, and this engine hands it N applications, their
+arrival times and the timed membership events.  At equal times the
+loop orders membership < barrier < arrival < slot, then application
+index / node id, so the interleaving is fully deterministic.  Executor
 slots are continuous shared resources: tasks from all applications
-queue FIFO per node and any free slot runs the head task; a slot that
-finds no work parks and is woken by the next enqueue.  Before a task
+queue FIFO per node and any free slot runs the head task; before a task
 runs, every active application's control plane and due prefetches are
-pumped (in arrival order) — the same peek-guarded pumping the
-single-app event core does per task.
+pumped (in arrival order).  What this engine keeps is the shared
+cluster (tenant registration, per-app cluster facades, the eviction
+router), timed churn and teardown.
 
-With a single application this loop reproduces the standalone engine's
+With a single application the loop makes the standalone engine's
 scheduling decisions exactly — the equivalence suite asserts the full
 ``RunMetrics`` are byte-identical across all workloads and schemes.
 
@@ -43,37 +45,35 @@ Elastic membership
 ------------------
 Unlike the single-application engine's stage-boundary churn, a shared
 cluster changes size at wall-clock *times*: :class:`TimedNodeJoin` and
-:class:`TimedNodeDecommission` fire from the global heap, mid-stage if
-need be.  A join appends one shared worker node, gives every active
-application a tenant policy on it, and runs each driver's own side of
-the join, :meth:`SparkSimulator._add_node` (its §4.4
+:class:`TimedNodeDecommission` fire from the loop's event heap,
+mid-stage if need be.  A join appends one shared worker node, gives
+every active application a tenant policy on it, and runs each driver's
+own side of the join, :meth:`SparkSimulator._add_node` (its §4.4
 ``WorkerRegister``, answered with the current distance table).  A
 decommission runs each driver's :meth:`SparkSimulator._remove_node`
 over that application's resident blocks on the node (its
 :class:`~repro.cluster.rebalance.RebalancePolicy` picks what
-migrates), clears the node's stores, re-homes its queued tasks
-through each owner's placement, and retires the slot.  Applications
-arriving later build their block-manager masters over the
-then-current live set.
+migrates), clears the node's stores, and has the loop re-home its
+queued tasks through each owner's placement.  Applications arriving
+later build their block-manager masters over the then-current live
+set.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.block_manager import BlockManager
 from repro.cluster.block_manager_master import BlockManagerMaster
 from repro.cluster.cluster import Cluster, ClusterConfig, build_cluster, make_worker
+from repro.cluster.node import WorkerNode
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.rebalance import REBALANCES
 from repro.control.messages import ControlMessage, StageBoundary
 from repro.control.plane import RpcConfig
-from repro.dag.dag_builder import ApplicationDAG, build_dag
-from repro.dag.structures import Stage
+from repro.dag.dag_builder import build_dag
 from repro.policies.base import EvictionPolicy
-from repro.simulator.engine import SparkSimulator
+from repro.simulator.engine import AppRun, EventLoop, SparkSimulator
 from repro.simulator.metrics import RunMetrics
 from repro.sweep.schemes import SchemeLike, resolve_scheme
 from repro.tenancy.arbitration import (
@@ -88,11 +88,6 @@ from repro.tenancy.arrivals import ArrivalProcess, FixedArrivals
 from repro.tenancy.metrics import MultiTenantMetrics
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import build_workload
-
-#: Event-kind priorities at equal times: change the cluster first, then
-#: finish/advance stages, then admit new applications, then dispatch
-#: tasks.
-_MEMBER, _BARRIER, _ARRIVAL, _SLOT = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -162,15 +157,17 @@ class AppSpec:
 
 
 class _AppDriver(SparkSimulator):
-    """Per-application simulator state, driven by the global loop.
+    """Per-application simulator state, driven by the shared loop.
 
-    Overrides exactly two behaviours of the standalone engine: the
-    cluster it builds (a shared-node facade from the tenancy engine)
-    and distance-table delivery (routed to this application's own
-    tenant policy rather than the node's composite policy).  Joins and
-    decommissions reuse the standalone per-driver steps unchanged
-    (``_add_node``/``_remove_node``); the tenancy engine only adds the
-    shared-node parts around them.
+    Its stages run through the same :class:`EventLoop` a standalone
+    ``run()`` uses, next to the other applications' stages, so its own
+    ``run()`` is blocked.  It overrides exactly two behaviours of the
+    standalone engine: the cluster it builds (a shared-node facade from
+    the tenancy engine) and distance-table delivery (routed to this
+    application's own tenant policy rather than the node's composite
+    policy).  Joins and decommissions reuse the standalone per-driver
+    steps unchanged (``_add_node``/``_remove_node``); the tenancy
+    engine only adds the shared-node parts around them.
     """
 
     def __init__(
@@ -198,44 +195,6 @@ class _AppDriver(SparkSimulator):
         raise RuntimeError(
             "_AppDriver is driven by MultiTenantSimulator; call its run()"
         )
-
-
-@dataclass
-class _AppState:
-    """Bookkeeping for one application inside the global loop."""
-
-    index: int
-    spec: AppSpec
-    dag: ApplicationDAG
-    driver: _AppDriver
-    stages: list[Stage]
-    master: BlockManagerMaster | None = None
-    arrival: float = 0.0
-    finish: float = 0.0
-    stage_idx: int = 0
-    remaining: int = 0
-    stage_start: float = 0.0
-    stage_end: float = 0.0
-    metrics: RunMetrics | None = None
-
-
-#: One queued task: (not_before, app_index, stage, partition, fixed_cost).
-_QueueItem = tuple[float, int, Stage, int, float]
-
-
-@dataclass
-class _RunState:
-    """Per-run mutable state (a fresh one per :meth:`run` call)."""
-
-    apps: list[_AppState]
-    nodes: list
-    heap: list[tuple[float, int, int]] = field(default_factory=list)
-    queues: list[deque[_QueueItem]] = field(default_factory=list)
-    #: Free times of idle (parked) executor slots, per node.
-    parked: list[list[float]] = field(default_factory=list)
-    active: list[_AppState] = field(default_factory=list)
-    #: Node ids decommissioned so far (slots persist; liveness does not).
-    dead: set[int] = field(default_factory=set)
 
 
 class MultiTenantSimulator:
@@ -276,38 +235,27 @@ class MultiTenantSimulator:
         self.placement = placement
         self.memberships = tuple(memberships)
         self.rebalance = rebalance
-        self._state: _RunState | None = None
+        # Per-run state, rebuilt by _setup() and kept after run() so the
+        # drained cluster can be inspected.
+        #: The shared worker nodes (decommissioned slots stay listed).
+        self._nodes: list[WorkerNode] = []
+        #: Node ids decommissioned so far (slots persist; liveness does not).
+        self._dead: set[int] = set()
+        #: Each application's block-manager master while it is active.
+        self._masters: list[BlockManagerMaster | None] = []
+        self._loop: EventLoop | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> MultiTenantMetrics:
         """Simulate every application; returns the aggregate metrics."""
-        state = self._setup()
+        loop = self._setup()
         times = self.arrivals.times(len(self.apps))
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("arrival times must be non-decreasing")
-        heap = state.heap
-        for app, t in zip(state.apps, times):
-            if t < 0:
-                raise ValueError("arrival times must be non-negative")
-            heapq.heappush(heap, (t, _ARRIVAL, app.index))
-        for i, event in enumerate(self.memberships):
-            heapq.heappush(heap, (event.at, _MEMBER, i))
-        while heap:
-            t, kind, key = heapq.heappop(heap)
-            if kind == _MEMBER:
-                self._on_membership(key, t)
-            elif kind == _BARRIER:
-                self._on_barrier(key, t)
-            elif kind == _ARRIVAL:
-                self._on_arrival(key, t)
-            else:
-                self._on_slot(key, t)
-        apps = tuple(app.metrics for app in state.apps)
-        assert all(m is not None for m in apps)
-        makespan = max((app.finish for app in state.apps), default=0.0)
-        # The drained state is kept around for post-run inspection (the
-        # isolation tests assert stores are empty and tenants gone); a
-        # subsequent run() rebuilds everything from scratch in _setup().
+        if any(t < 0 for t in times):
+            raise ValueError("arrival times must be non-negative")
+        apps = tuple(loop.run(times, [event.at for event in self.memberships]))
+        makespan = max((app.finish for app in loop.apps), default=0.0)
         return MultiTenantMetrics(
             arbitration=self.arbitration.name,
             arrival_process=self.arrivals.name,
@@ -316,9 +264,9 @@ class MultiTenantSimulator:
         )
 
     # ------------------------------------------------------------------
-    # setup
+    # the shared cluster
     # ------------------------------------------------------------------
-    def _setup(self) -> _RunState:
+    def _setup(self) -> EventLoop:
         # Shared nodes with one composite (arbitrated) policy each; the
         # base cluster's own master is discarded — block routing happens
         # through each application's private master over the same nodes.
@@ -326,18 +274,18 @@ class MultiTenantSimulator:
             self.cluster_config,
             lambda node_id: ArbitratedNodePolicy(self.arbitration),
         )
-        apps = []
-        for index, spec in enumerate(self.apps):
-            application = build_workload(
-                spec.workload,
-                spec.params(),
-                first_rdd_id=index * RDD_NAMESPACE_STRIDE,
-            )
-            dag = build_dag(application)
-            driver = _AppDriver(
+        self._nodes = base.nodes
+        self._dead = set()
+        self._masters = [None for _ in self.apps]
+        drivers = [
+            _AppDriver(
                 self,
                 index,
-                dag,
+                build_dag(build_workload(
+                    spec.workload,
+                    spec.params(),
+                    first_rdd_id=index * RDD_NAMESPACE_STRIDE,
+                )),
                 self.cluster_config,
                 resolve_scheme(spec.scheme).build(),
                 promote_on_miss=self.promote_on_miss,
@@ -346,40 +294,29 @@ class MultiTenantSimulator:
                 placement=self.placement,
                 rebalance=self.rebalance,
             )
-            apps.append(
-                _AppState(
-                    index=index,
-                    spec=spec,
-                    dag=dag,
-                    driver=driver,
-                    stages=list(dag.active_stages),
-                )
-            )
-        state = _RunState(apps=apps, nodes=base.nodes)
-        state.queues = [deque() for _ in base.nodes]
-        state.parked = [[0.0] * node.num_slots for node in base.nodes]
-        self._state = state
-        return state
+            for index, spec in enumerate(self.apps)
+        ]
+        self._loop = EventLoop(
+            drivers, on_membership=self._on_membership, on_finish=self._teardown
+        )
+        return self._loop
 
     def _attach(self, driver: _AppDriver) -> Cluster:
         """Register ``driver``'s application as a tenant; build its
         per-app cluster facade over the shared nodes."""
-        state = self._state
-        assert state is not None
-        app = state.apps[driver.app_id]
         driver._tenant_policies = []
-        for node in state.nodes:
+        for node in self._nodes:
             self._register_tenant(driver, node.node_id)
-        master = BlockManagerMaster(state.nodes, placement=self.placement)
+        master = BlockManagerMaster(self._nodes, placement=self.placement)
         # A late arrival joins the cluster as it is *now*: nodes already
         # decommissioned are dead slots from this application's first
         # breath (they never take placement, never run its tasks).
-        for node_id in sorted(state.dead):
+        for node_id in sorted(self._dead):
             master.decommission_node(node_id)
         for mgr in master.managers:
             mgr.eviction_router = self._router_for(mgr.node.node_id)
-        app.master = master
-        return Cluster(config=self.cluster_config, nodes=state.nodes, master=master)
+        self._masters[driver.app_id] = master
+        return Cluster(config=self.cluster_config, nodes=self._nodes, master=master)
 
     def _register_tenant(self, driver: _AppDriver, node_id: int) -> None:
         """Give ``driver`` a tenant policy on shared node ``node_id``.
@@ -388,15 +325,13 @@ class MultiTenantSimulator:
         exactly like the standalone engine reuses a decommissioned
         node's policy.
         """
-        state = self._state
-        assert state is not None
         policies = driver._tenant_policies
         if node_id < len(policies):
             return
         assert node_id == len(policies), "shared nodes join one at a time"
         policy = driver.scheme.policy_factory(node_id)
         policies.append(policy)
-        composite = state.nodes[node_id].policy
+        composite = self._nodes[node_id].policy
         assert isinstance(composite, ArbitratedNodePolicy)
         composite.register_tenant(
             driver.app_id,
@@ -409,82 +344,14 @@ class MultiTenantSimulator:
         """Eviction router: charge an evicted block to its owner app."""
 
         def route(block_id) -> BlockManager | None:
-            state = self._state
-            if state is None:
-                return None
             owner = owner_of(block_id.rdd_id)
-            if 0 <= owner < len(state.apps):
-                master = state.apps[owner].master
+            if 0 <= owner < len(self._masters):
+                master = self._masters[owner]
                 if master is not None:
                     return master.managers[node_id]
             return None
 
         return route
-
-    # ------------------------------------------------------------------
-    # event handlers
-    # ------------------------------------------------------------------
-    def _on_arrival(self, index: int, t: float) -> None:
-        state = self._state
-        assert state is not None
-        app = state.apps[index]
-        app.arrival = t
-        state.active.append(app)
-        app.driver._start_run(t)
-        if not app.stages:
-            self._finish_app(app, t)
-            return
-        first = app.stages[0]
-        app.driver._begin_stage(first, t)
-        self._enqueue_stage(app, first, t)
-
-    def _on_barrier(self, index: int, t: float) -> None:
-        state = self._state
-        assert state is not None
-        app = state.apps[index]
-        stage = app.stages[app.stage_idx]
-        driver = app.driver
-        driver._record_stage(stage, app.stage_start, t)
-        app.stage_idx += 1
-        if app.stage_idx < len(app.stages):
-            nxt = app.stages[app.stage_idx]
-            driver._begin_stage(nxt, t)
-            self._enqueue_stage(app, nxt, t)
-        else:
-            self._finish_app(app, t)
-
-    def _on_slot(self, node_id: int, t0: float) -> None:
-        state = self._state
-        assert state is not None
-        queue = state.queues[node_id]
-        if not queue:
-            state.parked[node_id].append(t0)
-            return
-        head_not_before = queue[0][0]
-        if head_not_before > t0:
-            heapq.heappush(state.heap, (head_not_before, _SLOT, node_id))
-            return
-        # Peek-guarded pumping, in application arrival order: control
-        # deliveries first (a delivered prefetch order may push an
-        # already-due completion), then due prefetch completions —
-        # exactly the standalone event core's per-task sequence.
-        for active in state.active:
-            driver = active.driver
-            control = driver.control
-            if control.heap and control.heap[0][0] <= t0:
-                control.pump(t0)
-            prefetch_heap = driver._prefetch_heap
-            if prefetch_heap and prefetch_heap[0][0] <= t0:
-                driver._apply_due_prefetches(t0)
-        _, app_index, stage, partition, fixed = queue.popleft()
-        app = state.apps[app_index]
-        t_end = app.driver._run_task(stage, partition, node_id, t0, fixed)
-        heapq.heappush(state.heap, (t_end, _SLOT, node_id))
-        if t_end > app.stage_end:
-            app.stage_end = t_end
-        app.remaining -= 1
-        if app.remaining == 0:
-            heapq.heappush(state.heap, (app.stage_end, _BARRIER, app.index))
 
     # ------------------------------------------------------------------
     # elastic membership
@@ -500,118 +367,61 @@ class MultiTenantSimulator:
         """Grow the shared node set; every active application takes the
         newcomer as a tenant target and registers it (its own §4.4
         path)."""
-        state = self._state
-        assert state is not None
+        nodes = self._nodes
         if node_id is None:
-            node_id = len(state.nodes)
-        if node_id < len(state.nodes):
-            if node_id not in state.dead:
+            node_id = len(nodes)
+        if node_id < len(nodes):
+            if node_id not in self._dead:
                 return  # pinned join of a live node: nothing to do
-            node = state.nodes[node_id]  # a decommissioned slot rejoins
-            state.dead.discard(node_id)
-        elif node_id == len(state.nodes):
+            node = nodes[node_id]  # a decommissioned slot rejoins
+            self._dead.discard(node_id)
+        elif node_id == len(nodes):
             node = make_worker(
                 self.cluster_config,
                 node_id,
                 lambda nid: ArbitratedNodePolicy(self.arbitration),
             )
-            state.nodes.append(node)
-            state.queues.append(deque())
-            state.parked.append([t] * node.num_slots)
+            nodes.append(node)
         else:
             raise ValueError(
                 f"join of node {node_id} does not extend the cluster "
-                f"(next free id is {len(state.nodes)})"
+                f"(next free id is {len(nodes)})"
             )
-        for app in state.active:
-            self._register_tenant(app.driver, node_id)
-            mgr = app.driver._add_node(node, t)
+        assert self._loop is not None
+        for app in self._loop.active:
+            driver = app.driver
+            assert isinstance(driver, _AppDriver)
+            self._register_tenant(driver, node_id)
+            mgr = driver._add_node(node, t)
             mgr.eviction_router = self._router_for(node_id)
 
     def _decommission_shared_node(self, node_id: int | None, t: float) -> None:
         """Retire a shared node: each active application rebalances its
         resident blocks through its own policy and placement; then the
-        node's stores clear, its queued tasks re-home, and the slot
-        leaves liveness."""
-        state = self._state
-        assert state is not None
-        live = [i for i in range(len(state.nodes)) if i not in state.dead]
+        node's stores clear and its queued tasks re-home."""
+        nodes = self._nodes
+        live = [i for i in range(len(nodes)) if i not in self._dead]
         if node_id is None:
             node_id = live[-1]  # autoscaler shape: shed the newest node
-        if node_id in state.dead or node_id >= len(state.nodes) or len(live) <= 1:
+        if node_id in self._dead or node_id >= len(nodes) or len(live) <= 1:
             return  # already gone, unknown, or the last node must stay
-        node = state.nodes[node_id]
-        for app in state.active:
+        node = nodes[node_id]
+        assert self._loop is not None
+        for app in self._loop.active:
             lo, hi = namespace_of(app.index)
             resident = [b for b in node.memory.blocks() if lo <= b.id.rdd_id < hi]
             app.driver._remove_node(node_id, t, resident)
         node.clear()  # the node's stores leave with it
-        state.dead.add(node_id)
-        # Re-home the dead node's queued tasks through each owner's new
-        # placement, FIFO order preserved per destination.  Slots busy on
-        # this node finish their current task, then park forever (nothing
-        # enqueues to a dead node) — unless the slot rejoins later.
-        queue = state.queues[node_id]
-        fixed_cache: dict[tuple[int, int], list[float]] = {}
-        while queue:
-            not_before, app_index, stage, partition, _ = queue.popleft()
-            app = state.apps[app_index]
-            master = app.master
-            assert master is not None
-            new_node = master.task_node_id(partition)
-            key = (app_index, stage.seq)
-            if key not in fixed_cache:
-                fixed_cache[key] = app.driver._stage_costs(stage)
-            state.queues[new_node].append(
-                (not_before, app_index, stage, partition, fixed_cache[key][new_node])
-            )
-            self._wake_node(new_node, t)
-        # Idle slots stay parked (never woken: nothing enqueues to a dead
-        # node), so a later rejoin of this slot finds them intact.
+        self._dead.add(node_id)
+        self._loop.rehome(node_id, t)
 
     # ------------------------------------------------------------------
-    # stage and application lifecycle
-    # ------------------------------------------------------------------
-    def _enqueue_stage(self, app: _AppState, stage: Stage, now: float) -> None:
-        state = self._state
-        assert state is not None
-        driver = app.driver
-        fixed = driver._stage_costs(stage)
-        pending = driver._pending_by_node(stage)
-        app.remaining = stage.num_tasks
-        app.stage_start = now
-        app.stage_end = now
-        if stage.num_tasks == 0:
-            heapq.heappush(state.heap, (now, _BARRIER, app.index))
-            return
-        for node_id, partitions in enumerate(pending):
-            if not partitions:
-                continue
-            queue = state.queues[node_id]
-            for partition in partitions:
-                queue.append((now, app.index, stage, partition, fixed[node_id]))
-            self._wake_node(node_id, now)
-
-    def _wake_node(self, node_id: int, now: float) -> None:
-        """Unpark every idle slot of ``node_id`` at ``max(free, now)``."""
-        state = self._state
-        assert state is not None
-        parked = state.parked[node_id]
-        if not parked:
-            return
-        for free in parked:
-            heapq.heappush(state.heap, (max(free, now), _SLOT, node_id))
-        parked.clear()
-
-    def _finish_app(self, app: _AppState, t: float) -> None:
-        state = self._state
-        assert state is not None
-        app.metrics = app.driver._finish_run(t)
-        app.finish = t
+    def _teardown(self, app: AppRun, t: float) -> None:
+        """A finished application leaves the shared cluster."""
         # In-flight prefetches are abandoned, exactly as a standalone
         # run ends with transfers still on the wire (the channel time
         # they reserved stays reserved — the I/O physically happened).
-        master = app.master
+        master = self._masters[app.index]
         assert master is not None
         for mgr in master.managers:
             mgr.inflight_prefetch.clear()
@@ -620,12 +430,11 @@ class MultiTenantSimulator:
         # blocks first keeps on_remove routing to a live tenant.
         lo, hi = namespace_of(app.index)
         master.drop_rdd_range(lo, hi)
-        for node in state.nodes:
+        for node in self._nodes:
             composite = node.policy
             assert isinstance(composite, ArbitratedNodePolicy)
             composite.deregister_tenant(app.index)
-        app.master = None
-        state.active.remove(app)
+        self._masters[app.index] = None
 
 
 def simulate_multi_tenant(

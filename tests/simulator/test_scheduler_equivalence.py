@@ -376,6 +376,9 @@ def test_inert_stage_applies_due_heads_at_next_wave_start(scheduler):
     order = PurgeOrder(sent_at=0.0, node_id=0, rdd_id=10_000, issued_seq=0)
     heapq.heappush(sim.control.heap, (3 * f / 4, 0, order, deliver))
 
-    end = sim._run_stage(stage, 0.0)
+    if scheduler == "reference":
+        end = sim._run_stage_reference(stage, 0.0)
+    else:
+        end = sim._run_inert_stage(sim._pending_by_node(stage), sim._stage_costs(stage), 0.0)
     assert log == [("deliver", f), ("complete", f)]
     assert end == 0.0 + f + f + f

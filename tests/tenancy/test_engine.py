@@ -87,15 +87,14 @@ class TestIsolation:
     def test_shared_stores_empty_after_run(self):
         sim = run(arrivals=FixedArrivals(interval=1.0))
         sim.run()
-        state = sim._state
-        assert state is not None
-        for node in state.nodes:
+        assert sim._nodes
+        for node in sim._nodes:
             assert len(node.memory) == 0
 
     def test_all_tenants_deregistered_after_run(self):
         sim = run(arrivals=FixedArrivals(interval=1.0))
         sim.run()
-        for node in sim._state.nodes:
+        for node in sim._nodes:
             policy = node.policy
             assert isinstance(policy, ArbitratedNodePolicy)
             assert policy._tenants == {}
@@ -123,4 +122,4 @@ class TestValidation:
         sim = run()
         sim.run()
         with pytest.raises(RuntimeError):
-            sim._state.apps[0].driver.run()
+            sim._loop.apps[0].driver.run()
