@@ -2,7 +2,7 @@
 
 The headline experiment: all fourteen SparkBench workloads, cache-size
 sweep, three MRD variants.  Shape targets from the paper: full MRD
-average ≈ 0.53 of LRU (we accept ≤ 0.75), I/O-intensive workloads gain
+average ≈ 0.53 of LRU (we accept < 0.65; measured 0.61), I/O-intensive workloads gain
 the most, DT/CPU-bound workloads the least, and eviction provides the
 bulk of the improvement.
 """
@@ -16,7 +16,7 @@ def test_fig4_overall_performance(run_experiment):
     avg = fig4.averages(rows)
 
     # Average improvement in the paper's direction and magnitude band.
-    assert avg["full"] < 0.75, "full MRD should average well below LRU"
+    assert avg["full"] < 0.65, "full MRD should average well below LRU"
     assert avg["full"] <= avg["evict_only"] + 0.02
     # Hit ratio rises across the board (paper: all workloads increase).
     assert avg["mrd_hit"] > avg["lru_hit"]

@@ -33,7 +33,7 @@ entirely to re-run anything on the reference spec.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Set as AbstractSet
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -141,6 +141,10 @@ class MemoryStore:
         """Whether any block of ``rdd_id`` is memory-resident."""
         return rdd_id in self._rdd_count
 
+    def resident_count(self, rdd_id: int) -> int:
+        """Number of memory-resident blocks of ``rdd_id``."""
+        return self._rdd_count.get(rdd_id, 0)
+
     def resident_rdd_ids(self) -> list[int]:
         """Rdd ids with at least one memory-resident block (insertion order)."""
         return list(self._rdd_count)
@@ -191,7 +195,7 @@ class MemoryStore:
         """Block id per row, aligned with :meth:`columns`."""
         return self._row_ids
 
-    def blocked_rows(self, protect: frozenset[BlockId]) -> list[int]:
+    def blocked_rows(self, protect: AbstractSet[BlockId]) -> list[int]:
         """Row indices that must not be evicted (pinned or protected)."""
         rows = self._rows
         blocked = [r for bid in protect if (r := rows.get(bid)) is not None]
@@ -281,7 +285,7 @@ class MemoryStore:
     def put(
         self,
         block: Block,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         prefetch: bool = False,
     ) -> PutResult:
         """Insert ``block``, evicting per policy if needed.
@@ -301,8 +305,10 @@ class MemoryStore:
         evicted: list[Block] = []
         needed = block.size_mb - self.free_mb
         if needed > 0:
+            # ``block`` is not resident (checked above), so no victim
+            # walk can meet it: ``protect`` needs no copy with it added.
             victims = self.policy.select_victims(
-                self, needed, protect | {block.id}, for_prefetch=prefetch
+                self, needed, protect, for_prefetch=prefetch
             )
             if victims is None:
                 return PutResult(stored=False, evicted=[])

@@ -7,7 +7,9 @@ the receiver-side action — and the plane decides when to invoke it:
 * :class:`InstantControlPlane` — today's direct-call semantics: every
   message is delivered synchronously at its send time, in send order.
   Its delivery heap is permanently empty, so the engine's hot-loop peek
-  costs one truthiness check and nothing else.
+  costs one truthiness check and nothing else.  It is *synchronous*
+  (:attr:`ControlPlane.synchronous`), which lets the engine skip
+  building messages nobody can observe in flight (see below).
 * :class:`RpcControlPlane` — delivery is delayed by the configured
   latency (defaulting to the cluster :class:`NetworkModel`'s
   latency-dominated ``message_time``) plus optional per-message jitter,
@@ -22,6 +24,19 @@ Receiver callbacks return ``True`` when the message turned out to be
 after its stage, an out-of-date table broadcast); the plane aggregates
 that into :class:`ControlPlaneStats` alongside message counts and the
 order-to-apply delay.
+
+Synchronous stage boundaries
+----------------------------
+Two kinds of per-boundary traffic carry nothing a synchronous plane can
+observe: the workers' cache-status reports (the driver plans against
+exactly the live state the reports would carry) and the distance-table
+broadcast (every worker applies it at send time, in node order).  Under
+a synchronous plane the engine therefore builds neither message: it
+skips the reports — the MRD manager falls back to live free memory —
+and applies the table with one direct call per live node.
+:meth:`ControlPlane.deliver_direct` books those deliveries, so ``sent``,
+``delivered`` and ``stale_orders`` count exactly what the messages
+would have.  The rpc plane still sends and delivers every message.
 
 Determinism: the loss/jitter RNG is seeded and consumed in send order,
 and draws are skipped entirely when the corresponding knob is zero — so
@@ -116,6 +131,10 @@ class ControlPlane:
     #: Whether this plane emits msg_send/msg_deliver/msg_drop trace
     #: events (instant does not: direct calls have no messages).
     trace_messages = False
+    #: Whether every message is delivered at its send time, in send
+    #: order (instant).  The engine then skips building messages whose
+    #: delivery nothing can observe and books them via deliver_direct.
+    synchronous = False
 
     def __init__(self) -> None:
         self.stats = ControlPlaneStats()
@@ -141,6 +160,19 @@ class ControlPlane:
         """
         self.stats.sent += 1
         self._finish(msg, deliver, msg.sent_at)
+
+    def deliver_direct(self, count: int, stale: int = 0) -> None:
+        """Book ``count`` non-order messages the engine applied directly
+        instead of sending, ``stale`` of them stale on arrival.
+
+        Only a synchronous plane may skip sending: the counters then
+        match what ``send`` would have booked for the same messages.
+        """
+        assert self.synchronous, "only a synchronous plane delivers directly"
+        st = self.stats
+        st.sent += count
+        st.delivered += count
+        st.stale_orders += stale
 
     def pump(self, t: float) -> None:
         """Deliver every pending message due at or before ``t``."""
@@ -173,6 +205,7 @@ class InstantControlPlane(ControlPlane):
     """Direct-call semantics: synchronous delivery in send order."""
 
     name = "instant"
+    synchronous = True
 
     def send(self, msg: ControlMessage, deliver: DeliverFn) -> None:
         self.stats.sent += 1

@@ -1,7 +1,7 @@
 """MRD — the paper's core contribution: reference-distance cache management."""
 
 from repro.core.app_profiler import AppProfiler, ApplicationProfile, ProfileStore
-from repro.core.cache_monitor import CacheMonitor, CacheStatus
+from repro.core.cache_monitor import CacheMonitor
 from repro.core.manager import MrdConfig, MrdManager, StagePlan
 from repro.core.mrd_table import INFINITE, MrdTable
 from repro.core.policy import MrdScheme
@@ -16,7 +16,6 @@ __all__ = [
     "AppProfiler",
     "ApplicationProfile",
     "CacheMonitor",
-    "CacheStatus",
     "INFINITE",
     "MrdConfig",
     "MrdManager",

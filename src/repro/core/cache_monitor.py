@@ -7,9 +7,9 @@ fall-through to the shared :class:`MrdManager` for monitors that were
 never wired through a control plane (unit tests, direct construction) —
 and picks eviction victims locally: the block with the *greatest*
 reference distance goes first, infinite-distance blocks leading, ties
-broken by a stable rule (:data:`TIE_BREAKERS`).  It also reports cache
-status back to the manager (``reportCacheStatus`` in the paper's API
-table).
+broken by a stable rule (:data:`TIE_BREAKERS`).  The paper's
+``reportCacheStatus`` is sent by the engine on each worker's behalf
+(``SparkSimulator._send_status_reports``).
 
 Under the ``rpc`` control plane the broadcast arrives late, so the
 monitor evicts against the *previous* boundary's distances until the
@@ -20,8 +20,7 @@ has to live with.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from repro.cluster.block import Block, BlockId
@@ -32,22 +31,6 @@ from repro.policies.vectorized import select_block_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.memory_store import MemoryStore
-
-
-@dataclass(frozen=True)
-class CacheStatus:
-    """Periodic node report consumed by the MRDmanager.
-
-    ``hit_ratio`` is ``None`` for a node that has served no cached
-    reads yet (``BlockManagerStats.hit_ratio`` reports idle nodes as
-    ``None`` rather than dragging cluster averages to zero).
-    """
-
-    node_id: int
-    used_mb: float
-    free_mb: float
-    hit_ratio: float | None
-    num_blocks: int
 
 
 class MrdTableView:
@@ -211,7 +194,7 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         """Walk the incrementally maintained order instead of sorting.
@@ -251,7 +234,7 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None | BatchUnsupported:
         st = self._store
@@ -275,20 +258,3 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         else:  # "partition"
             ties = (-cols.rdd, -cols.part)
         return select_block_victims(st, cols, needed_mb, protect, cols.key, ties)
-
-    def report_cache_status(
-        self, store: MemoryStore, hit_ratio: float | None
-    ) -> CacheStatus:
-        """Build the periodic status report for the MRDmanager.
-
-        ``hit_ratio`` may be ``None`` for a node that has served no
-        cached reads yet; the report forwards it untouched and the
-        manager's consumers treat such nodes as idle.
-        """
-        return CacheStatus(
-            node_id=self.node_id,
-            used_mb=store.used_mb,
-            free_mb=store.free_mb,
-            hit_ratio=hit_ratio,
-            num_blocks=len(store),
-        )

@@ -149,9 +149,10 @@ class MrdManager:
         #: ... contained less than 300 references").
         self.max_table_size = self.table.size()
         #: Latest cache-status report per node, as delivered through the
-        #: control plane.  Under the instant plane this always matches
-        #: live state at selection time; under rpc it lags by at least
-        #: one message latency.
+        #: control plane.  Under rpc it lags live state by at least one
+        #: message latency; a synchronous (instant) plane builds no
+        #: reports, and selection reads live state, which is what a
+        #: report delivered at send time would hold.
         self.status_view: dict[int, CacheStatusReport] = {}
 
     # ------------------------------------------------------------------
@@ -185,19 +186,6 @@ class MrdManager:
     def on_worker_deregister(self, node_id: int) -> None:
         """A worker left the cluster: its reported status is void."""
         self.status_view.pop(node_id, None)
-
-    def reported_hit_ratio(self) -> float | None:
-        """Mean hit ratio across reporting nodes, ignoring idle ones.
-
-        Nodes that have served no cached reads report ``hit_ratio=None``
-        and are excluded; returns ``None`` when no node has data yet.
-        """
-        ratios = [
-            r.hit_ratio for r in self.status_view.values() if r.hit_ratio is not None
-        ]
-        if not ratios:
-            return None
-        return sum(ratios) / len(ratios)
 
     def on_stage_start(self, seq: int, cluster: Cluster) -> StagePlan:
         """Advance distances; emit purge + prefetch orders."""
@@ -268,6 +256,11 @@ class MrdManager:
         per_node_cap = cfg.max_prefetch_per_node
         max_total = per_node_cap * len(live_nodes)
         issued_total = 0
+        # While membership is static every resident block sits at its
+        # home, so an RDD with all partitions resident has nothing to
+        # fetch: the walk below would skip every partition.  Under churn
+        # a block may sit off its home and the walk must run.
+        stores = [n.memory for n in live_nodes] if master.static_members else None
         for dist, rdd_id in self.table.candidates_by_distance():
             if issued_total >= max_total:
                 # Every live node is at its per-node cap (the total only
@@ -277,9 +270,14 @@ class MrdManager:
             if rdd_id not in self._materialized:
                 continue
             rdd = rdd_by_id(rdd_id)
+            num_partitions = rdd.num_partitions
+            if stores is not None and num_partitions == sum(
+                store.resident_count(rdd_id) for store in stores
+            ):
+                continue
             size_mb = rdd.partition_size_mb
             rdd_name = rdd.name
-            for p in range(rdd.num_partitions):
+            for p in range(num_partitions):
                 node_id = place(p)
                 if issued[node_id] >= per_node_cap:
                     continue

@@ -15,7 +15,7 @@ Variants map directly to Figure 4's three bars:
 
 from __future__ import annotations
 
-
+from collections.abc import Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from repro.cluster.cluster import Cluster
@@ -101,7 +101,7 @@ class PrefetchAwareLruPolicy(MrdTableView, LruPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None | BatchUnsupported:
         if not for_prefetch:

@@ -14,7 +14,7 @@ they only rank blocks.
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Set as AbstractSet
 from typing import TYPE_CHECKING
 
 
@@ -127,7 +127,7 @@ class EvictionPolicy(abc.ABC):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         """Pick blocks to evict to free ``needed_mb``.
@@ -153,7 +153,7 @@ class EvictionPolicy(abc.ABC):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         """The per-object reference walk, without the batch attempt.
@@ -183,7 +183,7 @@ class EvictionPolicy(abc.ABC):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None | BatchUnsupported:
         """Vectorized victim selection over the store's columns.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterator, Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
@@ -70,7 +70,7 @@ class FifoPolicy(EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         """Reference walk without the list copy; batch on large stores."""
@@ -99,7 +99,7 @@ class FifoPolicy(EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None | BatchUnsupported:
         st = self._store

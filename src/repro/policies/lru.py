@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterator, Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
@@ -80,7 +80,7 @@ class LruPolicy(EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         """Reference walk without the list copy; batch on large stores.
@@ -114,7 +114,7 @@ class LruPolicy(EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None | BatchUnsupported:
         st = self._store

@@ -32,6 +32,7 @@ chosen victim set matches the object path bit-for-bit.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -104,7 +105,7 @@ def select_block_victims(
     store: MemoryStore,
     cols: StoreColumns,
     needed_mb: float,
-    protect: frozenset[BlockId],
+    protect: AbstractSet[BlockId],
     primary: np.ndarray,
     ties: tuple[np.ndarray, ...],
 ) -> list[BlockId] | None:

@@ -48,7 +48,7 @@ import heapq
 import math
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -105,9 +105,6 @@ class SimulationError(RuntimeError):
 
 #: Scheduling cores understood by :class:`SparkSimulator`.
 SCHEDULERS = ("event", "reference")
-
-#: Shared frozenset for write-only tasks (nothing to protect).
-_EMPTY_FROZENSET: frozenset[BlockId] = frozenset()
 
 
 class SparkSimulator:
@@ -558,7 +555,7 @@ class SparkSimulator:
             dest.node.io_free_at = (
                 max(dest.node.io_free_at, now) + network.transfer_time(block.size_mb)
             )
-            dest.insert_cached(block, _EMPTY_FROZENSET)
+            dest.insert_cached(block)
             self._rebalanced_blocks += 1
             self._rebalanced_mb += block.size_mb
             if rec.enabled:
@@ -782,9 +779,8 @@ class SparkSimulator:
         if has_writes:
             if self.recorder.enabled:
                 self.recorder.now = t
-            frozen_protect = frozenset(protect) if protect else _EMPTY_FROZENSET
             for block, home in writes[partition]:
-                managers[home].insert_cached(block, frozen_protect)
+                managers[home].insert_cached(block, protect)
         return t
 
     def _acquire_block(
@@ -818,7 +814,7 @@ class SparkSimulator:
             if self.promote_on_miss:
                 block = mgr.node.disk.get(bid)
                 assert block is not None
-                mgr.promote_from_disk(block, frozenset(protect))
+                mgr.promote_from_disk(block, protect)
             return t
         # Neither in memory nor on disk.  Without failure injection or
         # membership churn this is a DAG-contract violation; with lost
@@ -856,7 +852,7 @@ class SparkSimulator:
         # consistent with the prefetched-unread bookkeeping.
         if self.recorder.enabled:
             self.recorder.now = t
-        mgr.insert_cached(block, frozenset(protect))
+        mgr.insert_cached(block, protect)
         return t
 
     def _partition_recompute_time(self, rdd: RDD) -> float:
@@ -896,14 +892,7 @@ class SparkSimulator:
         master = self.cluster.master
         snap = orders.table_snapshot
         if snap is not None:
-            for node in master.live_nodes():
-                control.send(
-                    StageBoundary(
-                        sent_at=now, node_id=node.node_id, seq=seq,
-                        distances=snap, app_id=self.app_id,
-                    ),
-                    self._deliver_table,
-                )
+            self._send_table(master.live_node_ids, seq, snap, now)
         for rdd_id in orders.purge_rdds:
             for node_id in master.live_node_ids:
                 control.send(
@@ -931,14 +920,20 @@ class SparkSimulator:
     def _send_status_reports(self, now: float) -> None:
         """Every worker reports its cache status (``reportCacheStatus``).
 
-        Sent before ``on_stage_start`` each boundary: under the instant
-        plane the manager therefore selects prefetches from exactly the
-        live free-memory values it used to read directly; under rpc the
+        Sent before ``on_stage_start`` each boundary: under rpc the
         report lands a boundary late and the driver plans on stale data.
+        A synchronous plane would deliver each report at once with live
+        values, which is what the manager reads when it holds no report,
+        so under one no report is built; the plane only books them.
         """
-        for mgr in self.cluster.master.live_managers():
+        control = self.control
+        live = self.cluster.master.live_managers()
+        if control.synchronous:
+            control.deliver_direct(len(live))
+            return
+        for mgr in live:
             node = mgr.node
-            self.control.send(
+            control.send(
                 CacheStatusReport(
                     sent_at=now,
                     node_id=node.node_id,
@@ -986,12 +981,44 @@ class SparkSimulator:
         self._issue_one_prefetch(block, t)
         return stale
 
+    def _send_table(
+        self, node_ids: Sequence[int], seq: int, distances: Mapping[int, float],
+        now: float,
+    ) -> None:
+        """Broadcast the distance table to ``node_ids``, in order.
+
+        A synchronous plane applies it with one direct call per node —
+        exactly the delivery a sent message would get — and books the
+        deliveries; any other plane sends one ``StageBoundary`` each.
+        """
+        control = self.control
+        if control.synchronous:
+            stale = 0
+            for node_id in node_ids:
+                stale += self._apply_table(node_id, seq, distances)
+            control.deliver_direct(len(node_ids), stale)
+            return
+        for node_id in node_ids:
+            control.send(
+                StageBoundary(
+                    sent_at=now, node_id=node_id, seq=seq,
+                    distances=distances, app_id=self.app_id,
+                ),
+                self._deliver_table,
+            )
+
     def _deliver_table(self, msg: ControlMessage, t: float) -> bool:
         assert isinstance(msg, StageBoundary)
+        return self._apply_table(msg.node_id, msg.seq, msg.distances)
+
+    def _apply_table(
+        self, node_id: int, seq: int, distances: Mapping[int, float]
+    ) -> bool:
+        """Hand a table broadcast to ``node_id``'s eviction policy;
+        returns whether it was stale (older than the view held)."""
         assert self.cluster is not None
-        policy = self.cluster.nodes[msg.node_id].policy
-        applied = policy.on_table_update(msg.seq, msg.distances)
-        return applied is False  # an older-than-held broadcast is stale
+        applied = self.cluster.nodes[node_id].policy.on_table_update(seq, distances)
+        return applied is False
 
     def _deliver_register(self, msg: ControlMessage, t: float) -> bool:
         assert isinstance(msg, WorkerRegister)
@@ -1005,16 +1032,7 @@ class SparkSimulator:
         # distance table to the (re-)registered worker.
         snap = self.scheme.table_snapshot()
         if snap is not None:
-            self.control.send(
-                StageBoundary(
-                    sent_at=t,
-                    node_id=msg.node_id,
-                    seq=self._current_seq,
-                    distances=snap,
-                    app_id=self.app_id,
-                ),
-                self._deliver_table,
-            )
+            self._send_table((msg.node_id,), self._current_seq, snap, t)
         return False
 
     def _deliver_deregister(self, msg: ControlMessage, t: float) -> bool:

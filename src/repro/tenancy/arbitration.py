@@ -29,7 +29,7 @@ starting at ``k * RDD_NAMESPACE_STRIDE`` (see ``SparkContext``'s
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Set as AbstractSet
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -388,7 +388,7 @@ class ArbitratedNodePolicy(EvictionPolicy):
         self,
         store: MemoryStore,
         needed_mb: float,
-        protect: frozenset[BlockId] = frozenset(),
+        protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
         single = self._single_tenant()
@@ -449,7 +449,7 @@ class ArbitratedNodePolicy(EvictionPolicy):
         return None
 
     def _arbitrated(
-        self, store: MemoryStore, protect: frozenset[BlockId], for_prefetch: bool
+        self, store: MemoryStore, protect: AbstractSet[BlockId], for_prefetch: bool
     ) -> Iterator[tuple[BlockId, float]]:
         """Merge tenant candidate streams under the arbitration policy.
 

@@ -61,6 +61,7 @@ set.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.cluster.block_manager import BlockManager
@@ -69,7 +70,6 @@ from repro.cluster.cluster import Cluster, ClusterConfig, build_cluster, make_wo
 from repro.cluster.node import WorkerNode
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.rebalance import REBALANCES
-from repro.control.messages import ControlMessage, StageBoundary
 from repro.control.plane import RpcConfig
 from repro.dag.dag_builder import build_dag
 from repro.policies.base import EvictionPolicy
@@ -163,11 +163,13 @@ class _AppDriver(SparkSimulator):
     ``run()`` uses, next to the other applications' stages, so its own
     ``run()`` is blocked.  It overrides exactly two behaviours of the
     standalone engine: the cluster it builds (a shared-node facade from
-    the tenancy engine) and distance-table delivery (routed to this
-    application's own tenant policy rather than the node's composite
-    policy).  Joins and decommissions reuse the standalone per-driver
-    steps unchanged (``_add_node``/``_remove_node``); the tenancy
-    engine only adds the shared-node parts around them.
+    the tenancy engine) and distance-table application,
+    :meth:`_apply_table` (routed to this application's own tenant
+    policy rather than the node's composite policy), which a delivered
+    broadcast and a synchronous plane's direct call both go through.
+    Joins and decommissions reuse the standalone per-driver steps
+    unchanged (``_add_node``/``_remove_node``); the tenancy engine only
+    adds the shared-node parts around them.
     """
 
     def __init__(
@@ -184,11 +186,10 @@ class _AppDriver(SparkSimulator):
     def _build_cluster(self) -> Cluster:
         return self._sim._attach(self)
 
-    def _deliver_table(self, msg: ControlMessage, t: float) -> bool:
-        assert isinstance(msg, StageBoundary)
-        applied = self._tenant_policies[msg.node_id].on_table_update(
-            msg.seq, msg.distances
-        )
+    def _apply_table(
+        self, node_id: int, seq: int, distances: Mapping[int, float]
+    ) -> bool:
+        applied = self._tenant_policies[node_id].on_table_update(seq, distances)
         return applied is False
 
     def run(self) -> RunMetrics:  # pragma: no cover - misuse guard

@@ -16,6 +16,8 @@ from repro.dag.dag_builder import build_dag
 from repro.policies.scheme import LruScheme
 from repro.simulator.engine import SparkSimulator, simulate
 from repro.simulator.failures import FailurePlan
+from repro.simulator.reporting import metrics_to_dict
+from repro.tenancy import AppSpec, FixedArrivals, MultiTenantSimulator
 from repro.trace.recorder import TraceRecorder
 from tests.conftest import make_iterative_app
 
@@ -50,7 +52,20 @@ class TestInstantPlane:
             SparkSimulator(dag(), config(), MrdScheme(), control_plane="smoke-signals")
 
 
+def observable(m) -> dict:
+    """Every reported field of a run, including the whole
+    ``ControlPlaneStats``, except the plane's name."""
+    d = metrics_to_dict(m)
+    del d["control_plane"]
+    return d
+
+
 class TestRpcZeroEqualsInstant:
+    """The instant plane is synchronous: it skips building status
+    reports and applies table broadcasts directly.  A zero-latency rpc
+    plane sends every one of those messages, so equal results — counters
+    included — show the skipped messages changed nothing observable."""
+
     @pytest.mark.parametrize("scheme_factory", [
         MrdScheme, LruScheme,
         lambda: MrdScheme(prefetch=False), lambda: MrdScheme(evict=False),
@@ -62,7 +77,52 @@ class TestRpcZeroEqualsInstant:
             control_plane="rpc", control_config=RpcConfig(latency_s=0.0),
         )
         assert fingerprint(base) == fingerprint(rpc)
+        assert observable(base) == observable(rpc)
         assert rpc.control_plane == "rpc"
+
+    def test_replacement_registration_matches(self):
+        # A replaced worker's WorkerRegister makes the driver re-issue
+        # its distance table to that one node (paper §4.4).
+        def run(**kwargs):
+            plan = FailurePlan().add(at_seq=3, node_id=1).add(at_seq=6, node_id=0)
+            return simulate(dag(), config(), MrdScheme(), failure_plan=plan, **kwargs)
+
+        base = run()
+        rpc = run(control_plane="rpc", control_config=RpcConfig(latency_s=0.0))
+        assert base.failure_lost_blocks > 0
+        assert observable(base) == observable(rpc)
+
+    def test_two_app_global_mrd_tenancy_matches(self):
+        # Tenant routing: each application's table lands on its own
+        # tenant policy whether it is delivered or applied directly.  A
+        # monitor without a view falls back to the live table, which
+        # equals the snapshot under both planes here, so the held views
+        # are checked as well as the results.
+        def run(**kwargs):
+            apps = [
+                AppSpec(workload="KM", scheme="MRD", partitions=8),
+                AppSpec(workload="PR", scheme="MRD", partitions=8),
+            ]
+            sim = MultiTenantSimulator(
+                apps, config(cache_mb=30.0), arrivals=FixedArrivals(interval=2.0),
+                arbitration="global-mrd", **kwargs,
+            )
+            result = sim.run()
+            views = [
+                [(p._view_seq, p._distances is not None) for p in app.driver._tenant_policies]
+                for app in sim._loop.apps
+            ]
+            return result, views
+
+        base, base_views = run()
+        rpc, rpc_views = run(control_plane="rpc", control_config=RpcConfig(latency_s=0.0))
+        assert base.makespan == rpc.makespan
+        assert [observable(m) for m in base.apps] == [observable(m) for m in rpc.apps]
+        assert all(m.control.sent > 0 for m in base.apps)
+        last_seqs = [m.stage_records[-1].seq for m in base.apps]
+        assert base_views == rpc_views == [
+            [(seq, True)] * 2 for seq in last_seqs
+        ]
 
 
 class TestLatencyStaleness:

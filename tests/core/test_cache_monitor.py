@@ -115,26 +115,6 @@ class TestTieBreakers:
         assert order[0].rdd_id == 999
 
 
-class TestStatusReport:
-    def test_report_fields(self, manager, monitor):
-        store = MemoryStore(10.0, monitor)
-        store.put(blk(1, 0, size=4.0))
-        status = monitor.report_cache_status(store, hit_ratio=0.5)
-        assert status.node_id == 0
-        assert status.used_mb == pytest.approx(4.0)
-        assert status.free_mb == pytest.approx(6.0)
-        assert status.hit_ratio == 0.5
-        assert status.num_blocks == 1
-
-    def test_idle_node_reports_none_hit_ratio(self, manager, monitor):
-        # A node with no accesses yet has no ratio to report; None must
-        # flow through rather than masquerading as 0.0 (a real miss rate).
-        store = MemoryStore(10.0, monitor)
-        status = monitor.report_cache_status(store, hit_ratio=None)
-        assert status.hit_ratio is None
-        assert status.num_blocks == 0
-
-
 class TestTableView:
     def test_lookup_falls_back_to_live_manager_without_view(self, manager, monitor):
         links = rdd_by_name(manager, "parsed-links")

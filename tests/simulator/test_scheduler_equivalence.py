@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -136,16 +137,19 @@ def test_equivalent_under_rpc_control_plane(scheme_name):
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
 def test_rpc_at_zero_matches_instant(workload, scheme_name):
     """An rpc plane with all knobs at zero is semantically invisible:
-    same fingerprint as the default instant plane, on either core."""
+    same fingerprint and the same whole ``ControlPlaneStats`` (``sent``
+    included) as the default instant plane, on either core — although
+    the instant plane builds no status reports or table broadcasts."""
     dag = build_workload_dag(workload, partitions=8)
     cfg = CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER))
-    instant = fingerprint(simulate(dag, cfg, build_scheme(scheme_name)))
+    m = simulate(dag, cfg, build_scheme(scheme_name))
+    instant = (fingerprint(m), asdict(m.control))
     for scheduler in SCHEDULERS:
-        rpc = fingerprint(simulate(
+        m = simulate(
             dag, cfg, build_scheme(scheme_name), scheduler=scheduler,
             control_plane="rpc", control_config=RpcConfig(latency_s=0.0),
-        ))
-        assert rpc == instant
+        )
+        assert (fingerprint(m), asdict(m.control)) == instant
 
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
