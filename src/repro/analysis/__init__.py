@@ -3,11 +3,11 @@
 The reproduction's headline guarantees are determinism and
 crash-consistency invariants: parallel sweeps are bit-identical to
 serial runs, an rpc control plane at zero latency is equivalent to the
-instant one, distributed workers settle results atomically over a
-shared store, and every RNG draw is accounted for.  Nothing in the type
+instant one, the result store publishes every cell atomically, and
+every RNG draw is accounted for.  Nothing in the type
 system stops a future change from breaking them with a global
 ``random.random()`` call, a wall-clock read inside the simulator, a
-manifest rewritten without its lock, or an event kind nobody's pivot
+store file rewritten in place, or an event kind nobody's pivot
 table handles — those bugs only surface (sometimes) as flaky
 equivalence-suite failures.
 
@@ -24,8 +24,8 @@ rules consume:
 * :mod:`repro.analysis.determinism` — per-module rules
   (DET001–DET004, MUT001);
 * :mod:`repro.analysis.rng_rules` — RNG provenance (RNG101–RNG103);
-* :mod:`repro.analysis.io_rules` — crash-consistent IO over the shared
-  store (IO201–IO203);
+* :mod:`repro.analysis.io_rules` — crash-consistent IO over the result
+  store and trace files (IO201–IO203);
 * :mod:`repro.analysis.event_rules` — trace-event schema drift (EVT301);
 * :mod:`repro.analysis.suppressions` — ``# repro: noqa[RULE]`` line and
   ``# repro: noqa-file[RULE]`` file suppressions;

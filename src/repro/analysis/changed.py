@@ -2,11 +2,12 @@
 
 Pre-commit wants lint latency proportional to the diff, not the repo —
 but a *cross-module* analyzer cannot lint changed files in isolation:
-editing ``store.py`` can create (or fix) an IO203 finding in
-``service.py``.  The correct unit is the changed files' **import
-closure**: the changed modules, every transitive importer of them, and
-the transitive imports of that whole set (context the project pass
-needs), as computed by
+editing a helper's ``atomicio.py`` can create (or fix) an IO203
+finding in the ``merge.py`` that calls it (the ``io203_*`` fixture
+packages under ``tests/analysis/fixtures/``).  The correct unit is the
+changed files' **import closure**: the changed modules, every
+transitive importer of them, and the transitive imports of that whole
+set (context the project pass needs), as computed by
 :meth:`~repro.analysis.project.ProjectContext.import_closure`.
 
 The changed set itself comes from git, merge-base aware: an explicit

@@ -3,7 +3,7 @@
 The trace layer is a string-keyed schema split across modules: event
 classes declare ``kind = "cache_hit"``-style tags in
 ``repro.trace.events``, while the consumers — the chrome-export
-category map, the replay pivot groups, dashboard rollups — each keep a
+category map, the replay pivot groups — each keep a
 dict literal keyed by those same strings.  Nothing ties them together
 at runtime: add an event kind and forget one table, and the new events
 silently fall out of that consumer's output (or a stale key in a table

@@ -1,18 +1,24 @@
-"""Crash-consistent IO rules for the shared sweep store and trace files.
+"""Crash-consistent IO rules for the sweep result store and trace files.
 
-The distributed sweep service (``repro.sweep.service``) coordinates
-workers on different machines through one shared directory tree — over
-NFS in the deployments the docs describe.  Its correctness story has
-exactly three load-bearing idioms:
+:class:`~repro.sweep.store.ResultStore` persists each sweep cell the
+moment it finishes, while other processes (the ``--jobs N`` pool, a
+resumed run) read the same directory; ``repro.trace`` writes event logs
+that later runs replay.  A file-producing package like these stays
+correct through three idioms:
 
 * final files appear **atomically** via ``tempfile.mkstemp`` in the
   destination directory followed by ``os.replace`` (readers see the old
-  bytes or the new bytes, never a torn file);
+  bytes or the new bytes, never a torn file) —
+  :func:`~repro.sweep.store.atomic_write_text` is the in-tree writer;
 * a lease is **claimed** with ``os.open(path, O_CREAT | O_EXCL)`` (at
-  most one winner fleet-wide);
+  most one winner among concurrent claimants);
 * a **read-modify-write** of a shared file happens under a mutual-
   exclusion guard — an ``os.mkdir`` lock directory or an ``O_EXCL``
   claim — so concurrent merges cannot lose updates.
+
+The fixture packages under ``tests/analysis/fixtures/`` (``io201_*``,
+``io202_*``, ``io203_*``) are the worked examples of each idiom and of
+its violation.
 
 The rules here enforce those idioms statically, with an intra-function
 taint pass over *store-path producers* (``store.root``, ``cell_path()``,

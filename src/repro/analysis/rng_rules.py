@@ -1,7 +1,7 @@
 """RNG provenance rules: every random draw must trace back to a seed.
 
 The reproduction's headline guarantees — ``--jobs N`` bit-identity,
-distributed-worker digest equality, rpc-at-zero ≡ instant — all assume
+equal store digests, rpc-at-zero ≡ instant — all assume
 that *every* random draw in the simulated world flows from an injected,
 seed-threaded ``random.Random``.  DET001 (module pass) already bans
 draws on the process-global ``random`` module; the rules here close the

@@ -246,93 +246,6 @@ def _sweep_grid(args: argparse.Namespace):
         raise SystemExit(f"sweep failed: {exc}") from exc
 
 
-def _sweep_cells_or_manifest(args: argparse.Namespace):
-    """Grid cells from flags/--spec, or the store's manifest as fallback.
-
-    Worker and dashboard modes can run with nothing but ``--store``: the
-    coordinator (or first worker) publishes the grid into the store and
-    everyone else reads it back.
-    """
-    from repro.sweep import ResultStore, load_manifest, validate_cells
-
-    if args.workloads or args.spec:
-        grid = _sweep_grid(args)
-        cells = grid.cells()
-        try:
-            validate_cells(cells)
-        except ValueError as exc:
-            raise SystemExit(f"sweep failed: {exc}") from exc
-        return cells
-    if args.store:
-        return load_manifest(ResultStore(args.store)) or None
-    return None
-
-
-def cmd_sweep_worker(args: argparse.Namespace) -> int:
-    from repro.sweep import run_worker
-
-    if not args.store:
-        raise SystemExit("--worker needs a shared --store directory")
-    cells = _sweep_cells_or_manifest(args)
-    if cells is None:
-        raise SystemExit(
-            "--worker found no grid: give workloads/--spec, or point "
-            "--store at a directory with a published grid.json"
-        )
-
-    def progress(result) -> None:
-        from repro.sweep import CellSpec
-
-        state = "ok" if result.ok else "ERROR"
-        print(
-            f"{CellSpec.from_dict(result.spec).label()}: {state} "
-            f"({result.elapsed_s:.1f}s)",
-            file=sys.stderr, flush=True,
-        )
-
-    try:
-        summary = run_worker(
-            args.store, cells,
-            worker_id=args.worker_id,
-            lease_ttl_s=args.lease_ttl,
-            heartbeat_s=args.heartbeat,
-            poll_s=args.poll,
-            max_cells=args.max_cells,
-            progress=progress,
-        )
-    except (TimeoutError, ValueError) as exc:
-        raise SystemExit(f"worker failed: {exc}") from exc
-    print(summary.stats_line())
-    if summary.drained:
-        print("store drained: every cell is settled")
-    return 1 if summary.errors else 0
-
-
-def cmd_sweep_serve(args: argparse.Namespace) -> int:
-    from repro.sweep import ResultStore, serve_dashboard, write_dashboard
-
-    if not args.store:
-        raise SystemExit("--serve needs a --store directory to watch")
-    store = ResultStore(args.store)
-    cells = _sweep_cells_or_manifest(args)
-    if args.once:
-        json_path, html_path = write_dashboard(
-            store, cells, out_dir=args.out,
-            lease_ttl_s=args.lease_ttl, refresh_s=args.refresh,
-        )
-        print(f"dashboard written to {json_path} and {html_path}")
-        return 0
-    print(
-        f"serving dashboard for {store.root} on "
-        f"http://{args.host}:{args.port}/ (Ctrl-C to stop)"
-    )
-    serve_dashboard(
-        store, cells, host=args.host, port=args.port,
-        refresh_s=args.refresh, lease_ttl_s=args.lease_ttl,
-    )
-    return 0
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import (
         CellSpec,
@@ -341,13 +254,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         scheduler_mismatches,
         validate_cells,
     )
-
-    if args.worker and args.serve:
-        raise SystemExit("--worker and --serve are mutually exclusive")
-    if args.worker:
-        return cmd_sweep_worker(args)
-    if args.serve:
-        return cmd_sweep_serve(args)
 
     grid = _sweep_grid(args)
     cells = grid.cells()
@@ -359,15 +265,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("empty grid: no workloads selected, nothing to run")
         return 0
 
-    if args.external and not args.store:
-        raise SystemExit("--workers-external needs a shared --store directory")
     try:
         outcome = run_cells(
             cells, jobs=args.jobs, store=args.store, resume=args.resume,
-            progress=SweepProgress(), external=args.external,
-            timeout_s=args.external_timeout,
+            progress=SweepProgress(),
         )
-    except (TimeoutError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"sweep failed: {exc}") from exc
 
     multi_seed = len(grid.seeds) > 1
@@ -501,20 +404,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         kwargs["store"] = args.store
     elif args.store is not None:
         raise SystemExit(f"experiment {args.name!r} does not use a result store")
-    if args.external:
-        if "external" not in params:
-            raise SystemExit(
-                f"experiment {args.name!r} cannot run on external workers"
-            )
-        if args.store is None:
-            raise SystemExit(
-                "--workers-external needs a shared --store directory"
-            )
-        kwargs["external"] = True
-    try:
-        print(render(run(**kwargs)))
-    except TimeoutError as exc:
-        raise SystemExit(f"experiment failed: {exc}") from exc
+    print(render(run(**kwargs)))
     return 0
 
 
@@ -821,51 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="recompute every cell even when stored "
                               "(stale per-cell profile directories are purged)")
 
-    service = sweep_p.add_argument_group(
-        "distributed sweep service",
-        "any number of --worker processes (across machines sharing the "
-        "--store directory, e.g. over NFS) lease cells and drain the "
-        "grid; --serve renders a live dashboard from the same store; "
-        "--workers-external publishes the grid and waits for the fleet "
-        "(see docs/distributed-sweeps.md)",
-    )
-    service.add_argument("--worker", action="store_true",
-                         help="run as a work-queue worker: lease cells from "
-                              "the shared --store until the grid is drained")
-    service.add_argument("--serve", action="store_true",
-                         help="serve an HTML+JSON progress/results dashboard "
-                              "regenerated from the --store")
-    service.add_argument("--workers-external", dest="external",
-                         action="store_true",
-                         help="compute nothing locally: publish the grid "
-                              "into --store and wait for --worker processes "
-                              "to settle every cell")
-    service.add_argument("--external-timeout", type=float, default=None,
-                         help="give up waiting for external workers after "
-                              "this many seconds (default: wait forever)")
-    service.add_argument("--worker-id", default=None,
-                         help="stable worker name (default: <hostname>-<pid>)")
-    service.add_argument("--lease-ttl", type=float, default=60.0,
-                         help="seconds without a heartbeat before a lease "
-                              "counts as crashed and is reclaimed (default 60)")
-    service.add_argument("--heartbeat", type=float, default=5.0,
-                         help="lease/registry heartbeat interval in seconds")
-    service.add_argument("--poll", type=float, default=0.5,
-                         help="idle worker re-scan interval in seconds")
-    service.add_argument("--max-cells", type=int, default=None,
-                         help="stop this worker after executing N cells")
-    service.add_argument("--once", action="store_true",
-                         help="with --serve: write dashboard.json + "
-                              "dashboard.html once and exit")
-    service.add_argument("--host", default="127.0.0.1",
-                         help="with --serve: bind address (default loopback)")
-    service.add_argument("--port", type=int, default=8731,
-                         help="with --serve: HTTP port (default 8731)")
-    service.add_argument("--refresh", type=float, default=5.0,
-                         help="with --serve: page auto-refresh seconds")
-    service.add_argument("--out", default=None,
-                         help="with --serve --once: directory for the "
-                              "dashboard files (default: the store root)")
     sweep_p.set_defaults(func=cmd_sweep)
 
     exp_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
@@ -875,10 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--store", default=None,
                        help="sweep result-store directory (sweep-backed "
                             "figures only)")
-    exp_p.add_argument("--workers-external", dest="external",
-                       action="store_true",
-                       help="publish the figure's grid into --store and wait "
-                            "for `repro sweep --worker` processes to drain it")
     exp_p.set_defaults(func=cmd_experiment)
 
     bench_p = sub.add_parser(
@@ -1016,10 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--store", default=None,
                           help="sweep result-store directory (a rerun "
                               "recomputes only missing cells)")
-    report_p.add_argument("--workers-external", dest="external",
-                          action="store_true",
-                          help="publish every figure's grid into --store and "
-                               "wait for `repro sweep --worker` processes")
     report_p.set_defaults(func=cmd_report)
 
     dot_p = sub.add_parser("dot", help="export a workload's DAG as Graphviz DOT")
@@ -1058,11 +895,9 @@ def cmd_dot(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
-    if args.external and args.store is None:
-        raise SystemExit("--workers-external needs a shared --store directory")
     text = generate_report(
         out=args.output, progress=args.output is not None,
-        jobs=args.jobs, store=args.store, external=args.external,
+        jobs=args.jobs, store=args.store,
     )
     if args.output is None:
         print(text)

@@ -38,7 +38,6 @@ def run(
     cache_fractions=FIG10_FRACTIONS,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> list[Fig10Row]:
     schemes = {"LRU": SchemeSpec("LRU"), "MRD": SchemeSpec("MRD")}
     rows: list[Fig10Row] = []
@@ -48,13 +47,12 @@ def run(
         sweep1 = sweep_workload(
             name, schemes=schemes, cluster=MAIN_CLUSTER,
             cache_fractions=cache_fractions, jobs=jobs, store=store,
-            external=external,
         )
         sweep3 = sweep_workload(
             name, schemes=schemes, cluster=MAIN_CLUSTER,
             cache_fractions=cache_fractions,
             iterations=base_iters * 3 if spec.iterations_effective else base_iters,
-            jobs=jobs, store=store, external=external,
+            jobs=jobs, store=store,
         )
         b1 = sweep1.best_fraction("MRD")
         b3 = sweep3.best_fraction("MRD")

@@ -57,7 +57,6 @@ def run(
     scale: float = 1.0,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> list[Fig4Row]:
     rows: list[Fig4Row] = []
     for name in workloads:
@@ -69,7 +68,6 @@ def run(
             scale=scale,
             jobs=jobs,
             store=store,
-            external=external,
         )
         rows.append(summarize(sweep))
     return rows

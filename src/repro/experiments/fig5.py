@@ -37,7 +37,6 @@ def run(
     cache_fractions=DEFAULT_CACHE_FRACTIONS,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> list[Fig5Row]:
     rows: list[Fig5Row] = []
     schemes = {
@@ -48,7 +47,7 @@ def run(
     for name in workloads:
         sweep = sweep_workload(
             name, schemes=schemes, cluster=LRC_CLUSTER,
-            cache_fractions=cache_fractions, jobs=jobs, store=store, external=external,
+            cache_fractions=cache_fractions, jobs=jobs, store=store,
         )
         # "Taking the best values from their experiments and ours": the
         # best absolute JCT each policy achieves over the cache sweep.

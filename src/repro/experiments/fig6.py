@@ -37,7 +37,6 @@ def run(
     cache_fractions=DEFAULT_CACHE_FRACTIONS,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> list[Fig6Row]:
     rows: list[Fig6Row] = []
     schemes = {
@@ -48,7 +47,7 @@ def run(
     for name in workloads:
         sweep = sweep_workload(
             name, schemes=schemes, cluster=MEMTUNE_CLUSTER,
-            cache_fractions=cache_fractions, jobs=jobs, store=store, external=external,
+            cache_fractions=cache_fractions, jobs=jobs, store=store,
         )
         # Best absolute JCT per policy over the sweep ("best values from
         # their experiments and ours").

@@ -36,7 +36,6 @@ def run(
     target_hit: float = 0.6,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> Fig7Result:
     schemes = {
         "LRU": SchemeSpec("LRU"),
@@ -45,7 +44,7 @@ def run(
     }
     sweep = sweep_workload(
         workload, schemes=schemes, cluster=LRC_CLUSTER,
-        cache_fractions=fractions, jobs=jobs, store=store, external=external,
+        cache_fractions=fractions, jobs=jobs, store=store,
     )
     result = Fig7Result(workload=workload, target_hit=target_hit)
     result.fractions = list(fractions)

@@ -34,7 +34,6 @@ def run(
     cache_fractions=FIG8_FRACTIONS,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> list[Fig8Row]:
     schemes = {
         "LRU": SchemeSpec("LRU"),
@@ -45,7 +44,7 @@ def run(
     for name in workloads:
         sweep = sweep_workload(
             name, schemes=schemes, cluster=MAIN_CLUSTER,
-            cache_fractions=cache_fractions, jobs=jobs, store=store, external=external,
+            cache_fractions=cache_fractions, jobs=jobs, store=store,
         )
         best = min(
             sweep.fractions(), key=lambda f: sweep.normalized_jct("MRD-stage", f)

@@ -36,7 +36,6 @@ def run(
     cache_fractions=FIG9_FRACTIONS,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> list[Fig9Row]:
     schemes = {
         "LRU": SchemeSpec("LRU"),
@@ -48,7 +47,6 @@ def run(
         sweep = sweep_workload(
             name, schemes=schemes, cluster=MAIN_CLUSTER,
             cache_fractions=cache_fractions, jobs=jobs, store=store,
-            external=external,
         )
         best = min(
             sweep.fractions(), key=lambda f: sweep.normalized_jct("MRD-recurring", f)

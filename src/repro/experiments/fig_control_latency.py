@@ -52,7 +52,6 @@ def run(
     cache_fraction: float = CACHE_FRACTION,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> list[ControlLatencyRow]:
     plan: list[tuple[CellSpec, CellSpec]] = []  # (instant baseline, rpc cell)
     for name in workloads:
@@ -70,7 +69,7 @@ def run(
                 )
                 plan.append((baseline, rpc))
     cells = [cell for pair in plan for cell in pair]  # dedup is run_cells' job
-    outcome = run_cells(cells, jobs=jobs, store=store, external=external)
+    outcome = run_cells(cells, jobs=jobs, store=store)
     outcome.raise_on_error()
 
     rows: list[ControlLatencyRow] = []

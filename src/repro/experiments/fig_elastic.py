@@ -62,7 +62,6 @@ def run(
     cache_fraction: float = CACHE_FRACTION,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> list[ElasticRow]:
     plan: list[tuple[CellSpec, CellSpec]] = []  # (static baseline, churn cell)
     for name in workloads:
@@ -88,7 +87,7 @@ def run(
                     )
                     plan.append((baseline, churned))
     cells = [cell for pair in plan for cell in pair]  # dedup is run_cells' job
-    outcome = run_cells(cells, jobs=jobs, store=store, external=external)
+    outcome = run_cells(cells, jobs=jobs, store=store)
     outcome.raise_on_error()
 
     rows: list[ElasticRow] = []

@@ -150,7 +150,6 @@ def sweep_workload(
     jobs: int = 1,
     store=None,
     resume: bool = True,
-    external: bool = False,
     **build_kwargs,
 ) -> SweepResult:
     """Run one workload under every scheme at every cache fraction.
@@ -162,26 +161,16 @@ def sweep_workload(
     is used when any scheme is a live factory, when a prebuilt ``dag``
     is supplied, or when ``cluster`` is not a named preset — those
     cannot be described to a worker process.
-
-    ``external=True`` is the distributed path: nothing computes in this
-    process — the grid is published into the (mandatory) ``store`` and
-    the call waits for ``repro sweep --worker`` processes to settle
-    every cell (see ``docs/distributed-sweeps.md``).
     """
     schemes = schemes or STANDARD_SCHEMES
     resolved = {name: maybe_resolve_scheme(value) for name, value in schemes.items()}
     preset = _preset_name(cluster)
     use_runner = (
-        (jobs > 1 or store is not None or external)
+        (jobs > 1 or store is not None)
         and dag is None
         and preset is not None
         and all(spec is not None for spec in resolved.values())
     )
-    if external and not use_runner:
-        raise ValueError(
-            "external workers need store-describable cells: no prebuilt "
-            "DAGs, no live scheme factories, and a named cluster preset"
-        )
     if use_runner:
         from repro.sweep.runner import run_cells
         from repro.sweep.spec import CellSpec
@@ -205,9 +194,7 @@ def sweep_workload(
             for fraction in cache_fractions
             for name, spec in resolved.items()
         ]
-        outcome = run_cells(
-            cells, jobs=jobs, store=store, resume=resume, external=external
-        )
+        outcome = run_cells(cells, jobs=jobs, store=store, resume=resume)
         outcome.raise_on_error()
         dag = build_workload_dag(workload, **build_kwargs)
         result = SweepResult(

@@ -32,7 +32,6 @@ def generate_report(
     progress: bool = False,
     jobs: int = 1,
     store=None,
-    external: bool = False,
 ) -> str:
     """Run the full evaluation; returns (and optionally writes) markdown.
 
@@ -40,9 +39,6 @@ def generate_report(
     figures fan out across worker processes and, with a store, a rerun
     after an interrupt (or a tweak to one figure) recomputes only the
     missing cells.  Output is bit-identical at any job count.
-    ``external=True`` forwards to the same drivers so every figure's
-    grid is published into ``store`` and drained by external
-    ``repro sweep --worker`` processes instead of this one.
     """
     buf = io.StringIO()
 
@@ -73,41 +69,23 @@ def generate_report(
     )
 
     say("figure 4 (the long sweep) ...")
-    rows4 = fig4.run(jobs=jobs, store=store, external=external)
+    rows4 = fig4.run(jobs=jobs, store=store)
     section("Figure 4 — overall performance", fig4.render(rows4))
 
     say("figure 5 ...")
-    section("Figure 5 — vs LRC", fig5.render(fig5.run(jobs=jobs, store=store, external=external)))
+    section("Figure 5 — vs LRC", fig5.render(fig5.run(jobs=jobs, store=store)))
     say("figure 6 ...")
-    section(
-        "Figure 6 — vs MemTune",
-        fig6.render(fig6.run(jobs=jobs, store=store, external=external)),
-    )
+    section("Figure 6 — vs MemTune", fig6.render(fig6.run(jobs=jobs, store=store)))
     say("figure 7 ...")
-    section(
-        "Figure 7 — cache-size sweep (SVD++)",
-        fig7.render(fig7.run(jobs=jobs, store=store, external=external)),
-    )
+    section("Figure 7 — cache-size sweep (SVD++)", fig7.render(fig7.run(jobs=jobs, store=store)))
     say("figure 8 ...")
-    section(
-        "Figure 8 — stage vs job distance",
-        fig8.render(fig8.run(jobs=jobs, store=store, external=external)),
-    )
+    section("Figure 8 — stage vs job distance", fig8.render(fig8.run(jobs=jobs, store=store)))
     say("figure 9 ...")
-    section(
-        "Figure 9 — ad-hoc vs recurring",
-        fig9.render(fig9.run(jobs=jobs, store=store, external=external)),
-    )
+    section("Figure 9 — ad-hoc vs recurring", fig9.render(fig9.run(jobs=jobs, store=store)))
     say("figure 10 ...")
-    section(
-        "Figure 10 — iteration scaling",
-        fig10.render(fig10.run(jobs=jobs, store=store, external=external)),
-    )
+    section("Figure 10 — iteration scaling", fig10.render(fig10.run(jobs=jobs, store=store)))
     say("figures 11-12 ...")
-    section(
-        "Figures 11-12 — benefit predictors",
-        fig11_12.render(fig11_12.run(rows4)),
-    )
+    section("Figures 11-12 — benefit predictors", fig11_12.render(fig11_12.run(rows4)))
 
     avg = fig4.averages(rows4)
     buf.write(

@@ -14,30 +14,13 @@ modes — and this package is the layer that makes that grid cheap to
 * :mod:`repro.sweep.store` — :class:`ResultStore`: atomic per-cell
   result files keyed by config fingerprint, giving resume-after-
   interrupt and zero recomputation for unchanged cells.
-* :mod:`repro.sweep.service` — the distributed sweep service:
-  :func:`run_worker` lease-loops (atomic lease files with heartbeats
-  and stale-lease reclaim) so any number of machines drain one shared
-  store, and ``run_cells(..., external=True)`` is the coordinator that
-  publishes a grid and waits for the fleet.
-* :mod:`repro.sweep.dashboard` — the live results dashboard:
-  :func:`dashboard_payload` / :func:`render_html` regenerate a
-  JSON + HTML view (progress, per-cell status, worker liveness, ETA,
-  per-axis pivots) from nothing but the store directory.
 * :mod:`repro.sweep.progress` — :class:`SweepProgress`, the stderr
   progress callback with a clamped, never-``inf`` ETA.
 
 The experiment drivers (``repro.experiments``) and the ``repro sweep``
-CLI are built on these; ``docs/sweeping.md`` and
-``docs/distributed-sweeps.md`` are the user guides.
+CLI are built on these; ``docs/sweeping.md`` is the user guide.
 """
 
-from repro.sweep.dashboard import (
-    DASHBOARD_SCHEMA_VERSION,
-    dashboard_payload,
-    render_html,
-    serve_dashboard,
-    write_dashboard,
-)
 from repro.sweep.progress import SweepProgress
 from repro.sweep.runner import (
     SweepError,
@@ -47,13 +30,6 @@ from repro.sweep.runner import (
     scheduler_mismatches,
 )
 from repro.sweep.schemes import SCHEME_SPECS, SchemeSpec, resolve_scheme
-from repro.sweep.service import (
-    LeaseManager,
-    WorkerSummary,
-    load_manifest,
-    publish_manifest,
-    run_worker,
-)
 from repro.sweep.spec import (
     FINGERPRINT_VERSION,
     CellSpec,
@@ -64,30 +40,20 @@ from repro.sweep.spec import (
 from repro.sweep.store import CellResult, ResultStore
 
 __all__ = [
-    "DASHBOARD_SCHEMA_VERSION",
     "FINGERPRINT_VERSION",
     "SCHEME_SPECS",
     "CellResult",
     "CellSpec",
     "GridSpec",
-    "LeaseManager",
     "ResultStore",
     "SchemeSpec",
     "SweepError",
     "SweepOutcome",
     "SweepProgress",
-    "WorkerSummary",
-    "dashboard_payload",
     "load_grid",
-    "load_manifest",
-    "publish_manifest",
-    "render_html",
     "resolve_scheme",
     "run_cell",
     "run_cells",
-    "run_worker",
     "scheduler_mismatches",
-    "serve_dashboard",
     "validate_cells",
-    "write_dashboard",
 ]

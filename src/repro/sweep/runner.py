@@ -30,8 +30,8 @@ its DAG (only the engine's derived ``engine_plans`` cache grows; see
 workload once and reuses the DAG, its compiled task plans and its peak
 live cached set for every later cell with the same
 ``(WorkloadSpec, WorkloadParams)`` key.  The memo lives for one
-:func:`run_cells` call (one per pool worker process) or one
-``run_worker`` lease loop, and holds one workload's DAGs at a time —
+:func:`run_cells` call (one per pool worker process) and holds one
+workload's DAGs at a time —
 grids expand workload-major, so that is all a sweep needs.  A bare
 :func:`run_cell` call builds fresh.
 """
@@ -286,9 +286,6 @@ def run_cells(
     store: ResultStore | str | Path | None = None,
     resume: bool = True,
     progress: ProgressFn | None = None,
-    external: bool = False,
-    poll_s: float = 0.5,
-    timeout_s: float | None = None,
 ) -> SweepOutcome:
     """Run every cell; return results in cell order.
 
@@ -297,26 +294,11 @@ def run_cells(
     is true — previously stored *successful* results are served without
     recomputation; stored error results always retry (their stale
     profile directory is purged first, so the retry starts cold).
-
-    With ``external=True`` nothing computes locally: the grid manifest
-    is published into the ``store`` (which becomes mandatory) and this
-    call blocks, polling every ``poll_s`` seconds, until external
-    ``repro sweep --worker`` processes have settled every cell — the
-    coordinator half of the distributed sweep service
-    (:mod:`repro.sweep.service`).  ``timeout_s`` bounds the wait.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
-    if external:
-        if store is None:
-            raise ValueError("external workers need a shared --store directory")
-        if not resume:
-            raise ValueError(
-                "external workers cannot run with resume disabled; "
-                "reset the store instead"
-            )
     cells = list(cells)
     start = time.perf_counter()
 
@@ -337,7 +319,7 @@ def run_cells(
             cached += 1
             continue
         profile_path: str | None = None
-        if cell.profile_store and not external:
+        if cell.profile_store:
             if store is None:
                 raise ValueError(
                     f"cell {cell.label()} wants a file-backed profile store, "
@@ -366,53 +348,24 @@ def run_cells(
         if progress is not None:
             progress(done, total, result)
 
-    if pending and external:
-        from repro.sweep.service import publish_manifest
-
-        assert isinstance(store, ResultStore)
-        publish_manifest(store, cells)
-        waiting = [cell for cell, _ in pending]
-        deadline = None if timeout_s is None else start + timeout_s
-        while waiting:
-            still_waiting = []
-            for cell in waiting:
-                result = store.get(cell.fingerprint())
-                if result is None:
-                    still_waiting.append(cell)
-                    continue
-                results[result.fingerprint] = result
-                done += 1
-                if progress is not None:
-                    progress(done, total, result)
-            waiting = still_waiting
-            if not waiting:
-                break
-            if deadline is not None and time.perf_counter() > deadline:
-                raise TimeoutError(
-                    f"gave up waiting for external workers after {timeout_s:g}s "
-                    f"({len(waiting)} cell(s) unsettled; is a worker running "
-                    f"against {store.root}?)"
-                )
-            time.sleep(poll_s)
+    if jobs == 1:
+        dags: DagMemo = {}
+        for cell, profile_path in pending:
+            _record(run_cell(cell, profile_path, dags))
     elif pending:
-        if jobs == 1:
-            dags: DagMemo = {}
-            for cell, profile_path in pending:
-                _record(run_cell(cell, profile_path, dags))
-        else:
-            ctx = _pool_context()
-            pool = ctx.Pool(
-                processes=min(jobs, len(pending)), initializer=_init_pool_worker
-            )
-            try:
-                for result in pool.imap_unordered(_pool_entry, pending, chunksize=1):
-                    _record(result)
-                pool.close()
-            except BaseException:
-                pool.terminate()
-                raise
-            finally:
-                pool.join()
+        ctx = _pool_context()
+        pool = ctx.Pool(
+            processes=min(jobs, len(pending)), initializer=_init_pool_worker
+        )
+        try:
+            for result in pool.imap_unordered(_pool_entry, pending, chunksize=1):
+                _record(result)
+            pool.close()
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
 
     ordered = [results[fp] for fp in order]
     return SweepOutcome(

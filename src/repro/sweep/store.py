@@ -50,9 +50,8 @@ STATUS_ERROR = "error"
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Publish ``text`` to ``path`` whole-file-or-nothing.
 
-    The store's one write idiom, shared by every producer of files under
-    a (possibly NFS-shared) store root: write a ``mkstemp`` sibling in
-    the destination directory, then ``os.replace`` onto the final name —
+    The store's one write idiom: write a ``mkstemp`` sibling in the
+    destination directory, then ``os.replace`` onto the final name —
     readers observe the old bytes or the new bytes, never a torn file
     (IO201).  The temp file is unlinked on any failure.
     """
@@ -152,8 +151,8 @@ class ResultStore:
     def reset_profiles(self, fingerprint: str) -> bool:
         """Purge a cell's ``profiles/<fingerprint>/`` directory.
 
-        Called whenever a cell is about to *recompute* (``--no-resume``,
-        a stored error retrying, a reclaimed lease): a cell result must
+        Called whenever a cell is about to *recompute* (``--no-resume``
+        or a stored error retrying): a cell result must
         be a pure function of its spec, but MRD's recurring mode reads
         whatever profile the per-cell store already holds — so a profile
         left behind by an earlier run of the same fingerprint would leak
@@ -165,12 +164,6 @@ class ResultStore:
             return False
         shutil.rmtree(cell_dir, ignore_errors=True)
         return True
-
-    def reset_cell(self, fingerprint: str) -> None:
-        """Forget one cell entirely: its result file and its profiles."""
-        with contextlib.suppress(FileNotFoundError):
-            self.cell_path(fingerprint).unlink()
-        self.reset_profiles(fingerprint)
 
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> CellResult | None:
@@ -219,11 +212,11 @@ class ResultStore:
         """SHA-256 over every stored result's *identity-bearing* content.
 
         Two stores holding the same results have the same digest no
-        matter which machines computed the cells, in what order, or how
+        matter which processes computed the cells, in what order, or how
         long each took: ``elapsed_s`` is wall-clock and explicitly
         excluded from identity (see :class:`CellResult`).  This is the
-        equality the distributed-sweep guardrail asserts — N workers
-        over a shared store must digest identically to ``--jobs 1``.
+        equality the parallel-sweep guardrail asserts — a ``--jobs N``
+        pool must fill a store that digests identically to ``--jobs 1``.
         """
         h = hashlib.sha256()
         for result in self:

@@ -20,7 +20,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 EXECUTABLE_DOCS = (
     "docs/policies.md",
     "docs/sweeping.md",
-    "docs/distributed-sweeps.md",
     "docs/multitenancy.md",
     "docs/elasticity.md",
 )

@@ -40,11 +40,28 @@ class TestRunCells:
         with pytest.raises(ValueError, match="jobs"):
             run_cells(_cells(), jobs=0)
 
-    def test_parallel_is_bit_identical_to_serial(self):
-        cells = _cells()
-        serial = run_cells(cells, jobs=1)
-        parallel = run_cells(cells, jobs=3)
+    def test_parallel_is_bit_identical_to_serial(self, tmp_path):
+        """A pool fills a store that digests identically to a serial run,
+        including a cell with a per-cell MRD profile store and a lossy-rpc
+        cell whose drop draws seed from its own fingerprint."""
+        base = dict(workload="SP", cluster="test", cache_fraction=0.4, partitions=8)
+        cells = _cells() + [
+            CellSpec(scheme="MRD-recurring",
+                     scheme_spec=SchemeSpec("MRD", mode="recurring"),
+                     profile_store=True, **base),
+            CellSpec(scheme="MRD", scheme_spec=SchemeSpec("MRD"),
+                     control_plane="rpc", control_latency=0.5,
+                     control_loss=0.2, **base),
+        ]
+        serial_store = ResultStore(tmp_path / "serial")
+        parallel_store = ResultStore(tmp_path / "parallel")
+        serial = run_cells(cells, jobs=1, store=serial_store)
+        parallel = run_cells(cells, jobs=3, store=parallel_store)
+        assert serial.errors == parallel.errors == 0
+        assert serial.result_for(cells[-1]).metrics["control"]["dropped"] > 0
         assert _payloads(serial) == _payloads(parallel)
+        assert len(serial_store) == len(cells)
+        assert serial_store.content_digest() == parallel_store.content_digest()
 
     def test_duplicate_cells_share_one_computation(self):
         cells = _cells(fractions=(0.5,), schemes=("LRU",))

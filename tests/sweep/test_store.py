@@ -143,15 +143,6 @@ class TestReset:
     def test_reset_profiles_without_directory_is_noop(self, tmp_path):
         assert ResultStore(tmp_path).reset_profiles("nope") is False
 
-    def test_reset_cell_forgets_result_and_profiles(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(_ok_result("aaaa"))
-        store.profile_path("aaaa").write_text("{}")
-        store.reset_cell("aaaa")
-        assert store.get("aaaa") is None
-        assert not (store.profiles_dir / "aaaa").exists()
-        store.reset_cell("aaaa")  # idempotent
-
 
 class TestContentDigest:
     def test_equal_stores_digest_equal(self, tmp_path):
@@ -192,7 +183,7 @@ class TestContentDigest:
 
 class TestAtomicWriteText:
     """The shared tmp+os.replace publisher behind every final-path
-    write in the store, manifest and dashboard (IO201)."""
+    write in the store (IO201)."""
 
     def test_writes_content_and_returns_the_path(self, tmp_path):
         target = tmp_path / "deep" / "out.json"

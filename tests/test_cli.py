@@ -337,116 +337,3 @@ class TestLintCommand:
 
         assert lint_main([self._file(tmp_path, self.BAD)]) == 1
         assert lint_main([self._file(tmp_path, self.OK)]) == 0
-
-
-class TestDistributedSweep:
-    """``repro sweep --worker`` / ``--serve``: the distributed service CLI."""
-
-    GRID = ["SP", "--schemes", "LRU,MRD", "--fractions", "0.3,0.6",
-            "--partitions", "8"]
-
-    def test_worker_drains_a_small_grid(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["sweep", *self.GRID, "--store", store, "--worker",
-                     "--worker-id", "w1", "--poll", "0.01"]) == 0
-        captured = capsys.readouterr()
-        assert "worker w1: 4 executed (0 errors)" in captured.out
-        assert "store drained: every cell is settled" in captured.out
-        assert captured.err.count("ok") == 4  # per-cell progress on stderr
-
-    def test_worker_store_matches_serial_run(self, tmp_path, capsys):
-        from repro.sweep import ResultStore
-
-        serial, shared = str(tmp_path / "serial"), str(tmp_path / "shared")
-        assert main(["sweep", *self.GRID, "--jobs", "1",
-                     "--store", serial]) == 0
-        assert main(["sweep", *self.GRID, "--store", shared, "--worker",
-                     "--poll", "0.01"]) == 0
-        assert (
-            ResultStore(serial).content_digest()
-            == ResultStore(shared).content_digest()
-        )
-
-    def test_worker_resumes_from_published_manifest(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["sweep", *self.GRID, "--store", store, "--worker",
-                     "--max-cells", "1", "--poll", "0.01"]) == 0
-        capsys.readouterr()
-        # Second worker gets the grid from grid.json — no workload flags.
-        assert main(["sweep", "--store", store, "--worker",
-                     "--worker-id", "w2", "--poll", "0.01"]) == 0
-        out = capsys.readouterr().out
-        assert "worker w2: 3 executed" in out
-        assert "store drained" in out
-
-    def test_worker_exits_nonzero_on_error_cells(self, tmp_path, capsys):
-        store = str(tmp_path / "store")
-        assert main(["sweep", "SP", "--schemes", "LRU", "--fractions", "0.5",
-                     "--partitions", "8", "--scale", "-1",
-                     "--store", store, "--worker", "--poll", "0.01"]) == 1
-        assert "1 error" in capsys.readouterr().out
-
-    def test_worker_requires_store(self):
-        with pytest.raises(SystemExit, match="--store"):
-            main(["sweep", "SP", "--worker"])
-
-    def test_worker_without_any_grid_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="no grid"):
-            main(["sweep", "--store", str(tmp_path), "--worker"])
-
-    def test_worker_and_serve_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["sweep", "--store", str(tmp_path), "--worker", "--serve"])
-
-    def test_serve_once_writes_json_and_html(self, tmp_path, capsys):
-        import json as json_mod
-
-        from repro.sweep import DASHBOARD_SCHEMA_VERSION
-
-        store = tmp_path / "store"
-        assert main(["sweep", *self.GRID, "--store", str(store),
-                     "--worker", "--poll", "0.01"]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "--store", str(store), "--serve",
-                     "--once"]) == 0
-        assert "dashboard written to" in capsys.readouterr().out
-        payload = json_mod.loads((store / "dashboard.json").read_text())
-        assert payload["schema"] == DASHBOARD_SCHEMA_VERSION
-        assert payload["progress"]["done"] == 4
-        html = (store / "dashboard.html").read_text()
-        assert html.startswith("<!doctype html>")
-        assert "Sweep dashboard" in html
-
-    def test_serve_once_honors_out_dir(self, tmp_path, capsys):
-        store, out = tmp_path / "store", tmp_path / "www"
-        assert main(["sweep", "SP", "--schemes", "LRU", "--fractions", "0.5",
-                     "--partitions", "8", "--store", str(store),
-                     "--worker", "--poll", "0.01"]) == 0
-        capsys.readouterr()
-        assert main(["sweep", "--store", str(store), "--serve", "--once",
-                     "--out", str(out)]) == 0
-        assert (out / "dashboard.json").exists()
-        assert (out / "dashboard.html").exists()
-
-    def test_serve_requires_store(self):
-        with pytest.raises(SystemExit, match="--store"):
-            main(["sweep", "--serve", "--once"])
-
-    def test_external_requires_store(self):
-        with pytest.raises(SystemExit, match="--store"):
-            main(["sweep", "SP", "--workers-external"])
-
-    def test_external_times_out_without_workers(self, tmp_path):
-        with pytest.raises(SystemExit, match="external workers"):
-            main(["sweep", "SP", "--schemes", "LRU", "--fractions", "0.5",
-                  "--partitions", "8", "--store", str(tmp_path),
-                  "--workers-external", "--external-timeout", "0.1"])
-
-    def test_external_serves_settled_store(self, tmp_path, capsys):
-        """A drained store satisfies the coordinator with no workers."""
-        store = str(tmp_path / "store")
-        assert main(["sweep", *self.GRID, "--store", store]) == 0
-        capsys.readouterr()
-        assert main(["sweep", *self.GRID, "--store", store,
-                     "--workers-external", "--external-timeout", "5"]) == 0
-        assert "4 cached" in capsys.readouterr().out
