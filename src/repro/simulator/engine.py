@@ -598,32 +598,60 @@ class SparkSimulator:
         master = self.cluster.master
         return master.placement.tasks_by_node(stage.num_tasks, master.num_nodes)
 
-    def _run_inert_stage(
+    def _run_closed_stage(
         self,
+        stage: Stage,
         tasks: Sequence[Sequence[int]],
         per_node_fixed: list[float],
         start: float,
-    ) -> float:
-        """Closed form of :class:`EventLoop` for a cache-inert stage.
+    ) -> float | None:
+        """Closed form of :class:`EventLoop` for a fixed-cost stage:
+        returns the stage's end, or ``None`` to decline.
 
-        The loop takes it only while the stage's application runs alone
+        The loop calls it only while the stage's application runs alone
         with no arrival or membership event pending, so every slot of a
         busy node is free at ``start`` and nothing else competes for it.
-        Such a task reads and writes no cached block, so it ends exactly
-        ``fixed`` after it starts and changes no cache state; a node's
-        slots therefore run in lockstep waves.  A node with k tasks and
-        s slots runs ⌈k/s⌉ waves starting at the chain ``start,
-        start + f, (start + f) + f, …`` — repeated addition, exactly as
-        the loop accumulates ``t_end = t0 + fixed``, so the floats are
-        identical — and the stage ends at the latest chain end.
+        Three kinds of stage qualify, because each of their tasks ends
+        exactly ``fixed`` after it starts:
+
+        * a *cache-inert* stage reads and writes no cached block;
+        * a *hit-only* stage writes none, and every read is homed on the
+          task's node, memory-resident there and not in flight;
+        * a *write-only* stage reads none, and every write is homed on
+          the task's node.
+
+        A node's slots therefore run in lockstep waves.  A node with k
+        tasks and s slots runs ⌈k/s⌉ waves starting at the chain
+        ``start, start + f, (start + f) + f, …`` — repeated addition,
+        exactly as the loop accumulates ``t_end = t0 + fixed``, so the
+        floats are identical — and the stage ends at the latest chain
+        end.
 
         What the loop would still do mid-stage is apply control
-        deliveries and prefetch completions before each task start.
-        Each due head is applied at the first task start at or after it
-        (a bisect per node's chain), with the loop's pump-then-apply
-        order; neither step leaves anything due at that start, so the
-        next head is strictly later.
+        deliveries and prefetch completions before each task start.  In
+        an inert stage each due head is applied at the first task start
+        at or after it (a bisect per node's chain), with the loop's
+        pump-then-apply order; neither step leaves anything due at that
+        start, so the next head is strictly later.
+
+        A hit-only or write-only stage declines instead when any head is
+        due by its last wave start (a delivery or completion could
+        purge, evict or insert between two of its reads or writes), and
+        when the run is recorded (each event carries its task's time).
+        With nothing applied mid-stage its cache state changes only
+        through its own reads or writes, each on the task's own node,
+        so every node's ``access`` or ``insert_cached`` calls are made
+        in the node's task order, plan order within a task — the order
+        its slots run them in.  Every block is checked before any call
+        is made.  A stage that both reads and writes declines: a write
+        may evict a block that a later task on the node reads.
         """
+        reads = bool(stage.cache_reads)
+        inert = not reads and not stage.cache_writes
+        if not inert and (
+            (reads and stage.cache_writes) or self.recorder.enabled
+        ):
+            return None
         nodes = self.cluster.nodes
         # One chain per busy node: its wave starts, then its end.
         chains: list[list[float]] = []
@@ -651,7 +679,9 @@ class SparkSimulator:
                 prefetch_heap[0][0] if prefetch_heap else math.inf,
             )
             if due > last_start:
-                return stage_end
+                break
+            if not inert:
+                return None
             # Chain index -1 is the chain's end, not a task start.
             t0 = min(
                 chain[i]
@@ -662,6 +692,37 @@ class SparkSimulator:
                 control.pump(t0)
             if prefetch_heap and prefetch_heap[0][0] <= t0:
                 self._apply_due_prefetches(t0)
+        if inert:
+            return stage_end
+
+        # Hit-only or write-only: each node's plan entries in task order.
+        task_reads, task_writes, _ = self._stage_plan(stage)
+        plan = task_reads if reads else task_writes
+        managers = self.cluster.master.managers
+        per_node = [
+            (node_id, managers[node_id], [e for p in partitions for e in plan[p]])
+            for node_id, partitions in enumerate(tasks)
+            if partitions
+        ]
+        for node_id, mgr, entries in per_node:
+            if reads:
+                memory = mgr.node.memory
+                inflight = mgr.inflight_prefetch
+                for bid, home, _ in entries:
+                    if home != node_id or bid not in memory or bid in inflight:
+                        return None
+            elif any(home != node_id for _, home in entries):
+                return None
+        for _, mgr, entries in per_node:
+            if reads:
+                access = mgr.access
+                for bid, _, _ in entries:
+                    access(bid)
+            else:
+                insert = mgr.insert_cached
+                for block, _ in entries:
+                    insert(block, set())
+        return stage_end
 
     def _run_stage_reference(self, stage: Stage, start: float) -> float:
         """Reference core: per-node slot heaps + a ``min()`` over all
@@ -1173,8 +1234,10 @@ class EventLoop:
     slot is popped inline.  Before each task, every active
     application's due control deliveries, then its due prefetch
     completions, are applied in arrival order.  A lone application's
-    cache-inert stage runs in closed form
-    (:meth:`SparkSimulator._run_inert_stage`).
+    stage whose tasks all last exactly their node's fixed cost — one
+    that is cache-inert, hit-only or write-only — runs in closed form
+    instead, without the slot heap
+    (:meth:`SparkSimulator._run_closed_stage`).
 
     ``on_finish(app, t)`` runs after an application's metrics are
     collected (the multi-tenant engine tears its tenant down there).
@@ -1265,7 +1328,11 @@ class EventLoop:
             self._on_finish(app, t)
 
     def _start_stage(self, app: AppRun, now: float) -> None:
-        """Begin ``app``'s next stage and queue its tasks, or finish."""
+        """Begin ``app``'s next stage and queue its tasks, or finish.
+
+        While ``app`` runs alone with no event pending, the stage is
+        first offered to the closed form; its tasks queue only if that
+        declines."""
         if app.stage_idx == len(app.stages):
             self._finish(app, now)
             return
@@ -1280,13 +1347,12 @@ class EventLoop:
             return
         fixed = driver._stage_costs(stage)
         tasks = driver._pending_by_node(stage)
-        if (
-            not stage.cache_reads and not stage.cache_writes
-            and len(self.active) == 1 and not self.events
-        ):
-            app.stage_end = driver._run_inert_stage(tasks, fixed, now)
-            heapq.heappush(self.events, (app.stage_end, BARRIER, app.index))
-            return
+        if len(self.active) == 1 and not self.events:
+            end = driver._run_closed_stage(stage, tasks, fixed, now)
+            if end is not None:
+                app.stage_end = end
+                heapq.heappush(self.events, (end, BARRIER, app.index))
+                return
         queues = self.queues
         for node_id, partitions in enumerate(tasks):
             if partitions:

@@ -8,17 +8,24 @@ per-node ratios, stage records — on every registered workload under
 every registered policy, plus the edge paths (failure injection,
 unpersist-in-flight, trace recording) the happy path doesn't exercise.
 
-Cache-inert stages (no cached reads or writes) take the event core's
-closed form instead of its slot heap; the last section pins that path
-down against the reference core's per-task loop.
+Stages whose tasks all last exactly their node's fixed cost — cache-inert
+(no cached reads or writes), hit-only and write-only — take the event
+core's closed form instead of its slot heap; the last two sections pin
+that path down against the reference core and against the per-task
+loop, and check each condition under which it must decline.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
-from collections import Counter
+import itertools
+import random
+from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,9 +36,11 @@ from repro.cluster.memory_store import store_mode
 from repro.cluster.placement import PLACEMENTS
 from repro.control.messages import PurgeOrder
 from repro.control.plane import RpcConfig, RpcControlPlane
+from repro.dag.context import SparkApplication, SparkContext
 from repro.dag.dag_builder import build_dag
+from repro.dag.rdd import RDD, NarrowDependency
 from repro.experiments.harness import build_workload_dag, cache_mb_for
-from repro.simulator.engine import SCHEDULERS, SparkSimulator, simulate
+from repro.simulator.engine import SCHEDULERS, EventLoop, SparkSimulator, simulate
 from repro.simulator.failures import FailurePlan
 from repro.simulator.metrics import RunMetrics
 from repro.trace.recorder import TraceRecorder
@@ -292,27 +301,28 @@ def test_inert_stages_apply_deliveries_and_prefetches_mid_stage(monkeypatch):
     due inside inert stages — and both cores still agree."""
     seen: Counter[str] = Counter()
     inside: list[bool] = []
-    run_inert = SparkSimulator._run_inert_stage
+    run_closed = SparkSimulator._run_closed_stage
     pump = RpcControlPlane.pump
     apply_due = SparkSimulator._apply_due_prefetches
 
-    def spy_inert(self, *args):
-        seen["inert"] += 1
-        inside.append(True)
+    def spy_closed(self, stage, *args):
+        inert = not stage.cache_reads and not stage.cache_writes
+        seen["inert"] += inert
+        inside.append(inert)
         try:
-            return run_inert(self, *args)
+            return run_closed(self, stage, *args)
         finally:
             inside.pop()
 
     def spy_pump(self, t):
-        seen["pump"] += bool(inside)
+        seen["pump"] += any(inside)
         return pump(self, t)
 
     def spy_apply(self, t):
-        seen["apply"] += bool(inside)
+        seen["apply"] += any(inside)
         return apply_due(self, t)
 
-    monkeypatch.setattr(SparkSimulator, "_run_inert_stage", spy_inert)
+    monkeypatch.setattr(SparkSimulator, "_run_closed_stage", spy_closed)
     monkeypatch.setattr(RpcControlPlane, "pump", spy_pump)
     monkeypatch.setattr(SparkSimulator, "_apply_due_prefetches", spy_apply)
     dag = build_dag(generate_application(4, SyntheticConfig(
@@ -383,6 +393,375 @@ def test_inert_stage_applies_due_heads_at_next_wave_start(scheduler):
     if scheduler == "reference":
         end = sim._run_stage_reference(stage, 0.0)
     else:
-        end = sim._run_inert_stage(sim._pending_by_node(stage), sim._stage_costs(stage), 0.0)
+        end = sim._run_closed_stage(
+            stage, sim._pending_by_node(stage), sim._stage_costs(stage), 0.0
+        )
     assert log == [("deliver", f), ("complete", f)]
     assert end == 0.0 + f + f + f
+
+
+# ----------------------------------------------------------------------
+# hit-only and write-only stages: the closed form's cache replay
+# ----------------------------------------------------------------------
+def stage_kind(stage) -> str:
+    if stage.cache_reads and stage.cache_writes:
+        return "reads and writes"
+    if stage.cache_reads:
+        return "reads"
+    return "writes" if stage.cache_writes else "inert"
+
+
+def decline_conditions(sim, stage, tasks, fixed, start) -> set[str]:
+    """Why the closed form must decline ``stage`` now, judged from the
+    engine's state independently of the closed form itself (empty for
+    a stage it must take)."""
+    kind = stage_kind(stage)
+    if kind == "inert":
+        return set()
+    found = set()
+    if kind == "reads and writes":
+        found.add(kind)
+    if sim.recorder.enabled:
+        found.add("recorded")
+    last_start = start
+    for node_id, partitions in enumerate(tasks):
+        t = start
+        for _ in range(-(-len(partitions) // sim.cluster.nodes[node_id].num_slots) - 1):
+            t = t + fixed[node_id]
+        if partitions:
+            last_start = max(last_start, t)
+    if sim.control.heap and sim.control.heap[0][0] <= last_start:
+        found.add("delivery due")
+    if sim._prefetch_heap and sim._prefetch_heap[0][0] <= last_start:
+        found.add("completion due")
+    reads, writes, _ = sim._stage_plan(stage)
+    managers = sim.cluster.master.managers
+    for node_id, partitions in enumerate(tasks):
+        mgr = managers[node_id]
+        for p in partitions:
+            if kind == "writes":
+                if any(home != node_id for _, home in writes[p]):
+                    found.add("remote write")
+                continue
+            for bid, home, _ in reads[p]:
+                if home != node_id:
+                    found.add("remote read")
+                elif bid in mgr.inflight_prefetch:
+                    found.add("in flight")
+                elif bid not in mgr.node.memory:
+                    found.add("not resident")
+    return found
+
+
+class ClosedFormSpy:
+    """Records every offer to the closed form: the stage kind, whether
+    it was taken, and the decline conditions that held at the offer."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.offers: list[tuple[str, bool, set[str]]] = []
+        run_closed = SparkSimulator._run_closed_stage
+
+        def spy(sim, stage, tasks, fixed, start):
+            found = decline_conditions(sim, stage, tasks, fixed, start)
+            end = run_closed(sim, stage, tasks, fixed, start)
+            self.offers.append((stage_kind(stage), end is not None, found))
+            return end
+
+        monkeypatch.setattr(SparkSimulator, "_run_closed_stage", spy)
+
+    def taken(self, *kinds: str) -> int:
+        return sum(taken for kind, taken, _ in self.offers if kind in kinds)
+
+    def declined_for(self, condition: str) -> int:
+        return sum(
+            not taken and condition in found for _, taken, found in self.offers
+        )
+
+    def check_rule(self) -> None:
+        """Taken exactly when no decline condition held."""
+        for kind, taken, found in self.offers:
+            assert taken == (not found), (kind, found)
+
+
+def _plain(value):
+    """``value`` as comparable plain data; objects shared across nodes
+    (the scheme's manager or oracle, the store a policy is bound to)
+    reduce to their type name."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, itertools.count):
+        return repr(value)
+    if isinstance(value, random.Random):
+        return value.getstate()
+    if dataclasses.is_dataclass(value):
+        return _plain(dataclasses.asdict(value))
+    if isinstance(value, Mapping):
+        return [(_plain(k), _plain(v)) for k, v in value.items()]
+    if isinstance(value, (set, frozenset)):
+        return sorted((_plain(v) for v in value), key=repr)
+    if isinstance(value, (list, tuple, deque)):
+        return [_plain(v) for v in value]
+    return type(value).__name__
+
+
+def node_states(sim) -> list:
+    """Every node's full cache state: the store with its columns and
+    block order, the disk, the eviction policy's own bookkeeping (LRU
+    recency order, touch stamps, CacheMonitor order), the manager's
+    counters and prefetch sets."""
+    return [
+        _plain((
+            vars(mgr.node.memory), list(mgr.node.disk.block_ids()),
+            mgr.node.io_free_at, vars(mgr.node.policy), mgr.stats,
+            mgr._prefetched_unread, mgr.inflight_prefetch,
+        ))
+        for mgr in sim.cluster.master.managers
+    ]
+
+
+def states_per_stage(monkeypatch, run) -> tuple[RunMetrics, list]:
+    """``run()``'s metrics and every node's state at each stage end."""
+    states: list = []
+    record = SparkSimulator._record_stage
+
+    def spy(sim, stage, start, end):
+        states.append(node_states(sim))
+        return record(sim, stage, start, end)
+
+    with monkeypatch.context() as m:
+        m.setattr(SparkSimulator, "_record_stage", spy)
+        metrics = run()
+    return metrics, states
+
+
+#: (seed, scheme, nodes, slots, heterogeneity, cache MB, placement):
+#: every policy, large caches that keep every read a hit and tight ones
+#: whose write-only stages evict.
+FIXED_COST_CASES = [
+    (seed, scheme, 2 + seed % 3, 1 + seed % 3, 0.3 * (seed % 2), cache, placement)
+    for seed, scheme in enumerate(sorted(SCHEME_BUILDERS))
+    for cache, placement in ((10_000.0, "stride"), (24.0, "rendezvous"))
+]
+
+
+@pytest.mark.parametrize(
+    "seed, scheme_name, num_nodes, slots, heterogeneity, cache, placement",
+    FIXED_COST_CASES,
+)
+def test_fixed_cost_stages_equivalent(
+    monkeypatch, seed, scheme_name, num_nodes, slots, heterogeneity, cache,
+    placement,
+):
+    """Random applications whose stages are hit-only or write-only
+    (task counts a multiple of the nodes).  Metrics equal the reference
+    core's, and after every stage each node's full state equals the one
+    the per-task loop leaves when the closed form always declines."""
+    dag = build_dag(generate_application(seed, SyntheticConfig(
+        num_jobs=5, partitions=num_nodes * 3, cache_probability=0.5,
+    )))
+    cfg = ClusterConfig(
+        num_nodes=num_nodes, slots_per_node=slots, cache_mb_per_node=cache,
+        heterogeneity=heterogeneity, heterogeneity_seed=seed,
+    )
+
+    def run(scheduler="event"):
+        return simulate(dag, cfg, build_scheme(scheme_name),
+                        scheduler=scheduler, placement=placement)
+
+    spy = ClosedFormSpy(monkeypatch)
+    metrics, closed_states = states_per_stage(monkeypatch, run)
+    assert spy.taken("reads", "writes") > 0
+    spy.check_rule()
+    assert fingerprint(metrics) == fingerprint(run("reference"))
+    monkeypatch.setattr(SparkSimulator, "_run_closed_stage", lambda *args: None)
+    declined, loop_states = states_per_stage(monkeypatch, run)
+    assert fingerprint(declined) == fingerprint(metrics)
+    assert closed_states == loop_states
+
+
+def coalesced(rdd, tasks: int):
+    """A narrow dependency with its own task count, as coalesce has."""
+    return RDD(rdd.ctx, [NarrowDependency(rdd)], num_partitions=tasks,
+               partition_size_mb=1.0, compute_cost=0.5, name=f"{rdd.name}-{tasks}")
+
+
+def two_job_app(
+    read_tasks: int = 8, write_tasks: int = 8,
+    cache_twice: bool = False, evict_first: bool = False,
+):
+    """Job 0 persists ``data`` (8 partitions of 8 MB) in ``write_tasks``
+    tasks, a write-only stage; an optional job persists ``junk`` to push
+    ``data`` out; the last job reads ``data`` in ``read_tasks`` tasks
+    (hit-only while resident), or reads it and persists a copy
+    (``cache_twice``)."""
+    ctx = SparkContext("fixed-cost")
+    data = ctx.text_file("in", size_mb=64.0, num_partitions=8).map(name="data").cache()
+    coalesced(data, write_tasks).count()
+    if evict_first:
+        junk = ctx.text_file("junk", size_mb=64.0, num_partitions=8)
+        junk.map(name="junk").cache().count()
+    if cache_twice:
+        data.map(name="copy").cache().count()
+    else:
+        coalesced(data, read_tasks).count()
+    return build_dag(SparkApplication(ctx))
+
+
+TWO_NODES = ClusterConfig(num_nodes=2, slots_per_node=2, cache_mb_per_node=1_000.0)
+
+
+@pytest.mark.parametrize("side", ["read", "write"])
+@pytest.mark.parametrize("tasks, taken", [(3, False), (4, True)])
+def test_remote_read_or_write_declines(monkeypatch, side, tasks, taken):
+    """Stride placement gives task p partitions p, p+T, … of an RDD:
+    with T a multiple of the nodes each is homed on the task's node,
+    otherwise some are remote and the stage runs per task."""
+    spy = ClosedFormSpy(monkeypatch)
+    dag = two_job_app(**{f"{side}_tasks": tasks})
+    event, reference = run_both(dag, TWO_NODES, "lru")
+    assert event == reference
+    spy.check_rule()
+    kind = f"{side}s"
+    assert spy.taken(kind) == taken
+    assert spy.declined_for(f"remote {side}") == (not taken)
+
+
+def test_non_resident_read_declines(monkeypatch):
+    """Two of each node's four ``data`` blocks fit: the rest are read
+    from disk, so the stage is not hit-only."""
+    spy = ClosedFormSpy(monkeypatch)
+    event, reference = run_both(two_job_app(), TWO_NODES.with_cache(20.0), "lru")
+    assert event == reference
+    spy.check_rule()
+    assert spy.declined_for("not resident")
+
+
+#: MRD-prefetch keeps LRU eviction, so ``junk`` pushes ``data`` out and
+#: the last boundary prefetches it back.
+PREFETCH_NODES = ClusterConfig(num_nodes=2, slots_per_node=4, cache_mb_per_node=40.0)
+
+
+def test_in_flight_read_declines(monkeypatch):
+    """One wave per node: the prefetches of ``data`` issued at the last
+    boundary are still in flight when it starts."""
+    spy = ClosedFormSpy(monkeypatch)
+    event, reference = run_both(
+        two_job_app(evict_first=True), PREFETCH_NODES, "mrd-prefetch"
+    )
+    assert event == reference
+    spy.check_rule()
+    assert spy.declined_for("in flight")
+
+
+def test_due_prefetch_completion_declines(monkeypatch):
+    """One slot per node: a prefetch completes before the last of four
+    waves starts."""
+    spy = ClosedFormSpy(monkeypatch)
+    cfg = dataclasses.replace(PREFETCH_NODES, slots_per_node=1)
+    event, reference = run_both(two_job_app(evict_first=True), cfg, "mrd-prefetch")
+    assert event == reference
+    spy.check_rule()
+    assert spy.declined_for("completion due")
+
+
+def test_due_rpc_delivery_declines(monkeypatch):
+    """Status reports sent at the boundary land before the last wave
+    starts."""
+    spy = ClosedFormSpy(monkeypatch)
+    cfg = dataclasses.replace(TWO_NODES, slots_per_node=1)
+    event, reference = run_both(
+        two_job_app(), cfg, "lru",
+        control_plane="rpc", control_config=RpcConfig(latency_s=0.01),
+    )
+    assert event == reference
+    spy.check_rule()
+    assert spy.declined_for("delivery due")
+
+
+def test_reading_and_writing_stage_declines(monkeypatch):
+    spy = ClosedFormSpy(monkeypatch)
+    event, reference = run_both(two_job_app(cache_twice=True), TWO_NODES, "lru")
+    assert event == reference
+    spy.check_rule()
+    assert spy.declined_for("reads and writes")
+
+
+def test_recorded_run_declines(monkeypatch):
+    """A recorded run stamps each hit and insertion with its task's
+    time; its event stream still equals the reference core's."""
+    spy = ClosedFormSpy(monkeypatch)
+    event, reference = run_both_recorded(two_job_app(), TWO_NODES, "lru")
+    assert event == reference
+    spy.check_rule()
+    assert spy.declined_for("recorded") == 2  # the write-only and hit-only stages
+
+
+def test_overlapping_tenants_declines(monkeypatch):
+    """Two applications submitted together: their write-only and
+    hit-only stages run through the slots while both are active, and
+    the whole run equals the per-task specification's."""
+    from repro.tenancy import AppSpec, FixedArrivals, MultiTenantSimulator
+    from repro.tenancy import engine as tenancy_engine
+    from repro.tenancy.metrics import mt_metrics_to_dict
+    from tests.tenancy.loop_spec import PerTaskLoop
+
+    spy = ClosedFormSpy(monkeypatch)
+    overlapped: Counter[str] = Counter()
+    start_stage = EventLoop._start_stage
+
+    def spy_start(loop, app, now):
+        offers = len(spy.offers)
+        together = len(loop.active) > 1
+        start_stage(loop, app, now)
+        if together and app.stage_idx < len(app.stages):
+            kind = stage_kind(app.stages[app.stage_idx])
+            overlapped[kind] += len(spy.offers) == offers
+
+    monkeypatch.setattr(EventLoop, "_start_stage", spy_start)
+
+    def run() -> dict:
+        return mt_metrics_to_dict(MultiTenantSimulator(
+            [AppSpec(workload="KM", partitions=8), AppSpec(workload="PR", partitions=8)],
+            CLUSTER.with_cache(1_000.0), arrivals=FixedArrivals(interval=0.0),
+        ).run())
+
+    production = run()
+    with monkeypatch.context() as m:
+        m.setattr(tenancy_engine, "EventLoop", PerTaskLoop)
+        spec = run()
+    assert production == spec
+    assert overlapped["reads"] and overlapped["writes"]
+    spy.check_rule()
+
+
+def test_sched_profile_runs_almost_all_tasks_in_closed_form(monkeypatch):
+    """The engine benchmark's sparse-caching ``sched`` profile: at least
+    95% of its tasks run in closed form under both benchmark schemes,
+    hit-only and write-only stages included (cache-inert stages alone
+    hold about 82%)."""
+    from repro.bench.engine_bench import (
+        BENCH_SCHEMES,
+        BenchConfig,
+        build_bench_dag,
+        total_tasks,
+    )
+
+    bench = BenchConfig(min_tasks=12_000, partitions=64, repeats=1)
+    dag = build_bench_dag(bench, "sched")
+    closed: Counter[str] = Counter()
+    run_closed = SparkSimulator._run_closed_stage
+
+    def spy(sim, stage, *args):
+        end = run_closed(sim, stage, *args)
+        if end is not None:
+            closed[stage_kind(stage)] += stage.num_tasks
+        return end
+
+    monkeypatch.setattr(SparkSimulator, "_run_closed_stage", spy)
+    for factory in BENCH_SCHEMES.values():
+        closed.clear()
+        SparkSimulator(dag, bench.cluster(), factory()).run()
+        assert closed["reads"] and closed["writes"]
+        assert closed.total() >= 0.95 * total_tasks(dag)
