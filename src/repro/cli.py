@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+from dataclasses import replace
 
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.rebalance import REBALANCES
 from repro.control.plane import CONTROL_PLANES, RpcConfig
-from repro.core.policy import MrdScheme
 from repro.dag.analysis import distance_stats, workload_characteristics
 from repro.experiments import (
     fig2,
@@ -51,34 +51,12 @@ from repro.experiments.harness import (
     cache_mb_for,
     format_table,
 )
-from repro.policies.scheme import (
-    BeladyScheme,
-    CacheScheme,
-    FifoScheme,
-    LfuScheme,
-    LrcScheme,
-    LruScheme,
-    MemTuneScheme,
-    RandomScheme,
-)
+from repro.policies.scheme import CacheScheme
 from repro.simulator.config import CLUSTERS
 from repro.simulator.engine import simulate
+from repro.sweep.schemes import SCHEME_SPECS, resolve_scheme, resolve_scheme_mix
 from repro.tenancy.arbitration import ARBITRATIONS
 from repro.workloads.registry import workload_names
-
-#: name -> zero-arg scheme factory for the CLI.
-SCHEME_FACTORIES: dict[str, Callable[[], CacheScheme]] = {
-    "LRU": LruScheme,
-    "FIFO": FifoScheme,
-    "LFU": LfuScheme,
-    "Random": RandomScheme,
-    "LRC": LrcScheme,
-    "MemTune": MemTuneScheme,
-    "Belady": BeladyScheme,
-    "MRD": MrdScheme,
-    "MRD-evict": lambda: MrdScheme(prefetch=False),
-    "MRD-prefetch": lambda: MrdScheme(evict=False),
-}
 
 _EXPERIMENTS = {
     "table1": (table1.run, table1.render),
@@ -100,19 +78,17 @@ _EXPERIMENTS = {
 
 
 def _make_scheme(args: argparse.Namespace) -> CacheScheme:
-    name = args.scheme
-    if name not in SCHEME_FACTORIES:
-        raise SystemExit(
-            f"unknown scheme {name!r}; choose from {sorted(SCHEME_FACTORIES)}"
-        )
-    if name.startswith("MRD") and (args.mode != "recurring" or args.metric != "stage"):
-        return MrdScheme(
-            evict=name != "MRD-prefetch",
-            prefetch=name != "MRD-evict",
-            mode=args.mode,
-            metric=args.metric,
-        )
-    return SCHEME_FACTORIES[name]()
+    try:
+        spec = resolve_scheme(args.scheme)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    # --mode/--metric override an MRD spec only when moved off their
+    # defaults, so "MRD-adhoc" stays ad-hoc under --metric job.
+    if spec.base == "MRD" and args.mode != "recurring":
+        spec = replace(spec, mode=args.mode)
+    if spec.base == "MRD" and args.metric != "stage":
+        spec = replace(spec, metric=args.metric)
+    return spec.build()
 
 
 def _cluster(args: argparse.Namespace):
@@ -410,7 +386,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_mt_run(args: argparse.Namespace) -> int:
     from repro.dag.dag_builder import build_dag
-    from repro.sweep.schemes import resolve_scheme_mix
     from repro.tenancy import (
         AppSpec,
         FixedArrivals,
@@ -551,7 +526,6 @@ def _write_trace_outputs(recorder, args: argparse.Namespace) -> None:
 def cmd_trace_record(args: argparse.Namespace) -> int:
     from repro.dag.dag_builder import build_dag
     from repro.trace import TraceRecorder
-    from repro.trace.replay import build_scheme
     from repro.workloads.registry import build_workload
 
     kwargs = {
@@ -566,7 +540,7 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
     args.cluster = args.cluster or "main"
     cluster = _cluster(args)
     try:
-        scheme = build_scheme(args.scheme)
+        scheme = resolve_scheme(args.scheme).build()
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     cache = (
@@ -653,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate one workload under one scheme")
     run_p.add_argument("workload")
-    run_p.add_argument("--scheme", default="MRD", help=f"one of {sorted(SCHEME_FACTORIES)}")
+    run_p.add_argument("--scheme", default="MRD",
+                       help=f"one of {sorted(SCHEME_SPECS)}, in any case")
     run_p.add_argument("--cluster", default="main", help=f"one of {sorted(CLUSTERS)}")
     run_p.add_argument("--cache-fraction", type=float, default=0.5,
                        help="cache as a fraction of the peak live cached set")
@@ -757,7 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of applications (default: one per "
                               "listed workload)")
     mtrun_p.add_argument("--schemes", default="LRU",
-                         help="comma list of per-app cache schemes, cycled "
+                         help=f"comma list of per-app cache schemes (any of "
+                              f"{sorted(SCHEME_SPECS)}, in any case), cycled "
                               "like the workload mix")
     mtrun_p.add_argument("--arbitration", choices=sorted(ARBITRATIONS),
                          default="static",
@@ -801,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _trace_run_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scheme", "--policy", dest="scheme", default="lru",
-                       help="cache scheme (case-insensitive; e.g. lru, mrd)")
+                       help=f"one of {sorted(SCHEME_SPECS)}, in any case")
         p.add_argument("--cluster", default=None,
                        help=f"one of {sorted(CLUSTERS)}; replay defaults to "
                             "the recorded trace's cluster")

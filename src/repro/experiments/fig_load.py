@@ -6,10 +6,10 @@ load* — how fast applications arrive relative to how fast they drain.
 This experiment streams a fixed mix of applications into one shared
 cluster with seeded Poisson arrivals and sweeps the arrival rate, for
 every combination of per-application scheme (all-LRU vs all-MRD) and
-cross-application arbitration policy (static shares, weighted max-min
-fairness, global reference distance).  Reported per cell: the
-cluster-wide aggregate hit ratio, the p50/p99 application sojourn
-(JCT measured from each application's arrival), and the makespan.
+cross-application arbitration policy (static shares, global reference
+distance).  Reported per cell: the cluster-wide aggregate hit ratio,
+the p50/p99 application sojourn (JCT measured from each application's
+arrival), and the makespan.
 
 At low rates the cluster is effectively single-tenant and the schemes
 match their standalone behaviour; as the rate grows, applications

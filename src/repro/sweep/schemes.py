@@ -13,7 +13,9 @@ factory it now accepts a ``SchemeSpec`` transparently; custom callables
 remain supported by the harness's serial path (see
 ``repro.experiments.harness``).
 
-The canonical named line-up lives in :data:`SCHEME_SPECS`; names match
+:data:`SCHEME_SPECS` is the one table of scheme names: the CLI, trace
+replay, grid specs and multi-tenant ``AppSpec`` all resolve through
+:func:`resolve_scheme`, which matches names in any case.  Names match
 the labels used across ``docs/policies.md`` and EXPERIMENTS.md.
 """
 
@@ -133,7 +135,7 @@ class SchemeSpec:
         return cls(**data)
 
 
-#: The named scheme line-up grid specs and the CLI resolve against.
+#: Every scheme name the package accepts, in its display spelling.
 SCHEME_SPECS: dict[str, SchemeSpec] = {
     "LRU": SchemeSpec("LRU"),
     "FIFO": SchemeSpec("FIFO"),
@@ -155,19 +157,20 @@ SchemeLike = SchemeSpec | str | dict
 def resolve_scheme(value: SchemeLike) -> SchemeSpec:
     """Coerce a name, dict, or SchemeSpec into a :class:`SchemeSpec`.
 
-    Raises ``ValueError`` for unknown names or malformed dicts; live
-    factories (plain callables) are *not* accepted here — they cannot
-    cross a process boundary.
+    Names are :data:`SCHEME_SPECS` keys in any case (``"mrd-adhoc"`` is
+    ``"MRD-adhoc"``).  Raises ``ValueError`` for unknown names or
+    malformed dicts; live factories (plain callables) are *not* accepted
+    here — they cannot cross a process boundary.
     """
     if isinstance(value, SchemeSpec):
         return value
     if isinstance(value, str):
-        try:
-            return SCHEME_SPECS[value]
-        except KeyError:
-            raise ValueError(
-                f"unknown scheme {value!r}; choose from {sorted(SCHEME_SPECS)}"
-            ) from None
+        for name, spec in SCHEME_SPECS.items():
+            if name.lower() == value.lower():
+                return spec
+        raise ValueError(
+            f"unknown scheme {value!r}; choose from {sorted(SCHEME_SPECS)}"
+        )
     if isinstance(value, dict):
         return SchemeSpec.from_dict(value)
     raise ValueError(f"cannot resolve scheme from {type(value).__name__}")

@@ -299,9 +299,11 @@ class GridSpec:
                 label = entry.pop("name")
                 pairs.append((str(label), resolve_scheme(entry)))
             else:
+                # A name labels its cell in its registered spelling
+                # (``"lru"`` is the ``"LRU"`` cell): every SCHEME_SPECS
+                # entry's ``name`` is its key.
                 spec = resolve_scheme(entry)  # type: ignore[arg-type]
-                label = entry if isinstance(entry, str) else spec.name
-                pairs.append((label, spec))
+                pairs.append((spec.name, spec))
         return pairs
 
     def cells(self) -> list[CellSpec]:

@@ -13,7 +13,6 @@ from repro.tenancy.arbitration import (
     ArbitratedNodePolicy,
     ArbitrationPolicy,
     GlobalDistance,
-    MaxMinFair,
     StaticShares,
     TenantStoreView,
     VictimCandidate,
@@ -54,7 +53,6 @@ __all__ = [
     "EmpiricalArrivals",
     "FixedArrivals",
     "GlobalDistance",
-    "MaxMinFair",
     "MultiTenantMetrics",
     "MultiTenantSimulator",
     "PoissonArrivals",

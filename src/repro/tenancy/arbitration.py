@@ -137,9 +137,7 @@ class ArbitrationPolicy(abc.ABC):
     name: str = "arbitration"
 
     @abc.abstractmethod
-    def pick(
-        self, candidates: list[VictimCandidate], capacity_mb: float
-    ) -> VictimCandidate:
+    def pick(self, candidates: list[VictimCandidate]) -> VictimCandidate:
         """Choose the victim among one candidate per application.
 
         ``candidates`` is non-empty and sorted by ``app_index``;
@@ -158,64 +156,11 @@ class StaticShares(ArbitrationPolicy):
 
     name = "static"
 
-    def pick(
-        self, candidates: list[VictimCandidate], capacity_mb: float
-    ) -> VictimCandidate:
+    def pick(self, candidates: list[VictimCandidate]) -> VictimCandidate:
         return max(
             candidates,
             key=lambda c: (c.used_mb / c.share, c.used_mb, -c.app_index),
         )
-
-
-class MaxMinFair(ArbitrationPolicy):
-    """Weighted max-min fairness over the node's cache capacity.
-
-    Water-filling computes each active application's fair allocation of
-    the node's capacity given every tenant's current demand (= usage);
-    the victim is the application with the largest *overage* above its
-    fair allocation.  When nobody is over (total usage below capacity,
-    which still happens when a large incoming block forces eviction)
-    the fallback is the largest weighted usage.
-    """
-
-    name = "maxmin"
-
-    def pick(
-        self, candidates: list[VictimCandidate], capacity_mb: float
-    ) -> VictimCandidate:
-        fair = self._fair_allocations(candidates, capacity_mb)
-        best = max(
-            candidates,
-            key=lambda c: (c.used_mb - fair[c.app_index], c.used_mb, -c.app_index),
-        )
-        if best.used_mb - fair[best.app_index] > 0:
-            return best
-        return max(
-            candidates,
-            key=lambda c: (c.used_mb / c.share, c.used_mb, -c.app_index),
-        )
-
-    @staticmethod
-    def _fair_allocations(
-        candidates: list[VictimCandidate], capacity_mb: float
-    ) -> dict[int, float]:
-        """Weighted water-filling of ``capacity_mb`` over the demands."""
-        remaining = capacity_mb
-        alloc = {c.app_index: 0.0 for c in candidates}
-        active = list(candidates)
-        while active and remaining > 0:
-            total_share = sum(c.share for c in active)
-            level = remaining / total_share
-            satisfied = [c for c in active if c.used_mb <= level * c.share]
-            if not satisfied:
-                for c in active:
-                    alloc[c.app_index] = level * c.share
-                break
-            for c in satisfied:
-                alloc[c.app_index] = c.used_mb
-                remaining -= c.used_mb
-            active = [c for c in active if c.used_mb > level * c.share]
-        return alloc
 
 
 class GlobalDistance(ArbitrationPolicy):
@@ -233,9 +178,7 @@ class GlobalDistance(ArbitrationPolicy):
 
     name = "global-mrd"
 
-    def pick(
-        self, candidates: list[VictimCandidate], capacity_mb: float
-    ) -> VictimCandidate:
+    def pick(self, candidates: list[VictimCandidate]) -> VictimCandidate:
         return max(
             candidates,
             key=lambda c: (c.distance, c.used_mb, -c.app_index),
@@ -245,7 +188,6 @@ class GlobalDistance(ArbitrationPolicy):
 #: Arbitration policies the CLI and experiment drivers resolve against.
 ARBITRATIONS: dict[str, type[ArbitrationPolicy]] = {
     "static": StaticShares,
-    "maxmin": MaxMinFair,
     "global-mrd": GlobalDistance,
 }
 
@@ -483,7 +425,6 @@ class ArbitratedNodePolicy(EvictionPolicy):
         for app_index in sorted(streams):
             advance(app_index)
 
-        capacity = store.capacity_mb
         while heads:
             candidates = []
             for app_index in sorted(heads):
@@ -500,7 +441,7 @@ class ArbitratedNodePolicy(EvictionPolicy):
                         distance=INFINITE if dist is None else dist,
                     )
                 )
-            pick = self.arbitration.pick(candidates, capacity)
+            pick = self.arbitration.pick(candidates)
             yield pick.block_id, pick.size_mb
             usage[pick.app_index] -= pick.size_mb
             del heads[pick.app_index]

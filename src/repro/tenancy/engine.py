@@ -138,7 +138,7 @@ class AppSpec:
     iterations: int | None = None
     partitions: int = 8
     seed: int = 0
-    #: Cache share weight under share-based arbitration (static/maxmin).
+    #: Cache share weight under ``static`` arbitration.
     share: float = 1.0
 
     def __post_init__(self) -> None:

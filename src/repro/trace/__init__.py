@@ -47,10 +47,8 @@ _LAZY = {
     "ingest_eventlog": "repro.trace.eventlog",
     "profile_from_trace": "repro.trace.eventlog",
     "ReplayResult": "repro.trace.replay",
-    "SCHEME_BUILDERS": "repro.trace.replay",
     "TraceDiff": "repro.trace.replay",
     "TraceWorkloadSpec": "repro.trace.replay",
-    "build_scheme": "repro.trace.replay",
     "detect_format": "repro.trace.replay",
     "diff_trace_files": "repro.trace.replay",
     "diff_traces": "repro.trace.replay",
@@ -82,7 +80,6 @@ __all__ = [
     "PrefetchIssue",
     "Purge",
     "ReplayResult",
-    "SCHEME_BUILDERS",
     "StageEnd",
     "StageStart",
     "TraceDiff",
@@ -93,7 +90,6 @@ __all__ = [
     "UnsupportedEventError",
     "WorkerDeregisterEvent",
     "WorkerRegisterEvent",
-    "build_scheme",
     "detect_format",
     "diff_trace_files",
     "diff_traces",

@@ -19,54 +19,20 @@ Three entry points:
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.app_profiler import ProfileStore
 from repro.core.policy import MrdScheme
-from repro.policies.scheme import (
-    BeladyScheme,
-    CacheScheme,
-    FifoScheme,
-    LfuScheme,
-    LrcScheme,
-    LruScheme,
-    MemTuneScheme,
-    RandomScheme,
-)
+from repro.policies.scheme import CacheScheme
 from repro.simulator.config import CLUSTERS, ClusterConfig
 from repro.simulator.engine import simulate
 from repro.simulator.metrics import RunMetrics
+from repro.sweep.schemes import resolve_scheme
 from repro.trace.eventlog import IngestedTrace, ingest_eventlog, profile_from_trace
 from repro.trace.events import TraceEvent, TraceFormatError, read_jsonl
 from repro.trace.recorder import TraceRecorder
 from repro.workloads.base import WorkloadParams, WorkloadSpec
-
-#: Scheme factories keyed by the lowercase names the trace CLI accepts.
-SCHEME_BUILDERS: dict[str, Callable[[], CacheScheme]] = {
-    "lru": LruScheme,
-    "fifo": FifoScheme,
-    "lfu": LfuScheme,
-    "random": RandomScheme,
-    "lrc": LrcScheme,
-    "memtune": MemTuneScheme,
-    "belady": BeladyScheme,
-    "mrd": MrdScheme,
-    "mrd-evict": lambda: MrdScheme(prefetch=False),
-    "mrd-prefetch": lambda: MrdScheme(evict=False),
-}
-
-
-def build_scheme(name: str) -> CacheScheme:
-    """Scheme instance for a (case-insensitive) policy name."""
-    try:
-        factory = SCHEME_BUILDERS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; choose from {sorted(SCHEME_BUILDERS)}"
-        ) from None
-    return factory()
 
 
 def detect_format(path: str | Path) -> str:
@@ -171,7 +137,7 @@ def replay(
         app_label = workload
 
     if isinstance(scheme, str):
-        scheme = build_scheme(scheme)
+        scheme = resolve_scheme(scheme).build()
     if profile_store is not None:
         if ingested is not None:
             profile_from_trace(ingested, store=profile_store)

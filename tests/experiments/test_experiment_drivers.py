@@ -222,8 +222,8 @@ class TestFigLoad:
         return fig_load.run(**self.KWARGS)
 
     def test_grid_shape(self, rows):
-        # 2 rates x 2 schemes x 3 arbitrations, one row per cell.
-        assert len(rows) == 12
+        # 2 rates x 2 schemes x 2 arbitrations, one row per cell.
+        assert len(rows) == 8
         assert {(r.rate, r.scheme) for r in rows} == {
             (0.05, "LRU"), (0.05, "MRD"), (0.25, "LRU"), (0.25, "MRD"),
         }
@@ -241,7 +241,7 @@ class TestFigLoad:
     def test_mrd_beats_lru_on_hits(self, rows):
         by_cell = {(r.rate, r.scheme, r.arbitration): r for r in rows}
         for rate in (0.05, 0.25):
-            for arb in ("static", "maxmin", "global-mrd"):
+            for arb in ("static", "global-mrd"):
                 assert by_cell[rate, "MRD", arb].hit_ratio >= \
                     by_cell[rate, "LRU", arb].hit_ratio
 

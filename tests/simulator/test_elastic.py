@@ -18,8 +18,8 @@ from repro.simulator.engine import simulate
 from repro.simulator.failures import Autoscaler, FailurePlan, build_churn_plan
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.reporting import metrics_from_dict, metrics_to_dict
+from repro.sweep.schemes import resolve_scheme
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replay import build_scheme
 from tests.simulator.run_digest import run_digest
 from tests.simulator.test_scheduler_equivalence import CLUSTER, fingerprint, run_both
 
@@ -81,9 +81,9 @@ def test_static_membership_is_byte_identical(scheme_name):
     — the elasticity machinery may not perturb static runs."""
     dag = _dag()
     cfg = _cfg(dag)
-    baseline = fingerprint(simulate(dag, cfg, build_scheme(scheme_name)))
+    baseline = fingerprint(simulate(dag, cfg, resolve_scheme(scheme_name).build()))
     elastic_but_inert = fingerprint(simulate(
-        dag, cfg, build_scheme(scheme_name),
+        dag, cfg, resolve_scheme(scheme_name).build(),
         failure_plan=FailurePlan(), rebalance="migrate",
     ))
     assert elastic_but_inert == baseline
@@ -91,7 +91,7 @@ def test_static_membership_is_byte_identical(scheme_name):
 
 def test_static_run_reports_no_churn():
     dag = _dag()
-    m = simulate(dag, _cfg(dag), build_scheme("mrd"))
+    m = simulate(dag, _cfg(dag), resolve_scheme("mrd").build())
     assert m.nodes_joined == 0
     assert m.nodes_decommissioned == 0
     assert m.rebalanced_blocks == 0
@@ -106,7 +106,7 @@ def test_static_run_reports_no_churn():
 def test_join_and_decommission_counters():
     dag = _dag()
     m = simulate(
-        dag, _cfg(dag), build_scheme("mrd"),
+        dag, _cfg(dag), resolve_scheme("mrd").build(),
         failure_plan=_churny_plan(), placement="rendezvous",
     )
     assert m.nodes_joined == 1
@@ -119,9 +119,9 @@ def test_drop_loses_blocks_migrate_carries_them():
     dag = _dag()
     cfg = _cfg(dag)
     plan = FailurePlan().add_decommission(at_seq=4, node_id=0)
-    dropped = simulate(dag, cfg, build_scheme("mrd"),
+    dropped = simulate(dag, cfg, resolve_scheme("mrd").build(),
                        failure_plan=plan, rebalance="drop")
-    migrated = simulate(dag, cfg, build_scheme("mrd"),
+    migrated = simulate(dag, cfg, resolve_scheme("mrd").build(),
                         failure_plan=plan, rebalance="migrate")
     # The node held cached blocks by seq 4; drop loses them all,
     # migrate carries the finite-distance ones.
@@ -142,7 +142,7 @@ def test_failure_of_decommissioned_node_is_skipped():
     plan = (FailurePlan()
             .add_decommission(at_seq=2, node_id=3)
             .add(at_seq=5, node_id=3))
-    m = simulate(dag, _cfg(dag), build_scheme("mrd"), failure_plan=plan)
+    m = simulate(dag, _cfg(dag), resolve_scheme("mrd").build(), failure_plan=plan)
     assert m.nodes_decommissioned == 1
     assert m.failure_lost_blocks == 0
 
@@ -150,7 +150,7 @@ def test_failure_of_decommissioned_node_is_skipped():
 def test_unknown_placement_rejected():
     dag = _dag()
     with pytest.raises(ValueError, match="placement must be one of"):
-        simulate(dag, _cfg(dag), build_scheme("lru"), placement="bogus")
+        simulate(dag, _cfg(dag), resolve_scheme("lru").build(), placement="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +167,7 @@ def _autoscaled_plan() -> FailurePlan:
 
 def test_autoscaler_grows_the_cluster():
     dag = _dag()
-    m = simulate(dag, _cfg(dag), build_scheme("mrd"),
+    m = simulate(dag, _cfg(dag), resolve_scheme("mrd").build(),
                  failure_plan=_autoscaled_plan(), placement="rendezvous")
     assert m.nodes_joined > 0
 
@@ -180,7 +180,7 @@ def test_autoscaler_replays_identically():
     plan = _autoscaled_plan()
     first = run_both(dag, cfg, "mrd", failure_plan=plan,
                      placement="rendezvous")
-    again = fingerprint(simulate(dag, cfg, build_scheme("mrd"),
+    again = fingerprint(simulate(dag, cfg, resolve_scheme("mrd").build(),
                                  failure_plan=plan, placement="rendezvous"))
     assert first[0] == first[1] == again
 
@@ -242,7 +242,7 @@ def test_mean_node_hit_ratio_none_when_no_weight():
 def test_churn_run_reports_presence_fractions():
     dag = _dag()
     m = simulate(
-        dag, _cfg(dag), build_scheme("mrd"),
+        dag, _cfg(dag), resolve_scheme("mrd").build(),
         failure_plan=FailurePlan().add_join(at_seq=5),
         placement="rendezvous",
     )
@@ -255,7 +255,7 @@ def test_churn_run_reports_presence_fractions():
 def test_elastic_metrics_round_trip_through_reporting():
     dag = _dag()
     m = simulate(
-        dag, _cfg(dag), build_scheme("mrd"),
+        dag, _cfg(dag), resolve_scheme("mrd").build(),
         failure_plan=_churny_plan(), placement="rendezvous",
         rebalance="migrate",
     )
@@ -275,7 +275,7 @@ def test_elastic_metrics_round_trip_through_reporting():
 # ----------------------------------------------------------------------
 def _snapshot_count(failure_plan: FailurePlan | None) -> int:
     dag = _dag()
-    scheme = build_scheme("mrd")
+    scheme = resolve_scheme("mrd").build()
     calls: list[int] = []
     original = scheme.table_snapshot
 
@@ -324,7 +324,7 @@ def _record_churn_run() -> tuple[TraceRecorder, RunMetrics]:
     dag = _dag()
     recorder = TraceRecorder(meta={"scheme": "mrd"})
     metrics = simulate(
-        dag, _cfg(dag), build_scheme("mrd"),
+        dag, _cfg(dag), resolve_scheme("mrd").build(),
         failure_plan=FailurePlan().add_join(at_seq=2)
         .add_decommission(at_seq=4, node_id=0),
         placement="rendezvous", rebalance="migrate",
@@ -383,7 +383,7 @@ def _churn_digest(workload: str, scheme_name: str, **kwargs) -> str:
     dag = _dag(workload)
     recorder = TraceRecorder()
     metrics = simulate(
-        dag, _cfg(dag), build_scheme(scheme_name), recorder=recorder, **kwargs
+        dag, _cfg(dag), resolve_scheme(scheme_name).build(), recorder=recorder, **kwargs
     )
     return run_digest([metrics], recorder.events)
 

@@ -10,8 +10,8 @@ from repro.simulator.engine import SparkSimulator, simulate
 from repro.simulator.failures import FailurePlan, NodeFailure
 from repro.dag.dag_builder import build_dag
 from repro.experiments.harness import build_workload_dag, cache_mb_for
+from repro.sweep.schemes import resolve_scheme
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replay import build_scheme
 from tests.conftest import make_iterative_app, make_linear_app
 from tests.simulator.test_engine import small_config
 from tests.simulator.test_scheduler_equivalence import CLUSTER
@@ -111,7 +111,7 @@ class TestPrefetchFates:
         cfg = CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER))
         recorder = TraceRecorder()
         sim = SparkSimulator(
-            dag, cfg, build_scheme("mrd"),
+            dag, cfg, resolve_scheme("mrd").build(),
             failure_plan=FailurePlan().add(at_seq=2, node_id=0),
             recorder=recorder,
         )

@@ -43,12 +43,15 @@ from repro.experiments.harness import build_workload_dag, cache_mb_for
 from repro.simulator.engine import SCHEDULERS, EventLoop, SparkSimulator, simulate
 from repro.simulator.failures import FailurePlan
 from repro.simulator.metrics import RunMetrics
+from repro.sweep.schemes import SCHEME_SPECS, resolve_scheme
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replay import SCHEME_BUILDERS, build_scheme
 from repro.workloads.registry import workload_names
 from repro.workloads.synthetic import SyntheticConfig, generate_application
 
 CLUSTER = ClusterConfig(num_nodes=4, slots_per_node=2, cache_mb_per_node=50.0)
+
+#: Every scheme name, spelled in lower case: the resolver takes any case.
+SCHEME_NAMES = sorted(name.lower() for name in SCHEME_SPECS)
 
 
 def fingerprint(m: RunMetrics) -> tuple:
@@ -70,7 +73,7 @@ def fingerprint(m: RunMetrics) -> tuple:
 
 def run_both(dag, cfg, scheme_name: str, **kwargs) -> tuple[tuple, tuple]:
     results = [
-        fingerprint(simulate(dag, cfg, build_scheme(scheme_name),
+        fingerprint(simulate(dag, cfg, resolve_scheme(scheme_name).build(),
                              scheduler=s, **kwargs))
         for s in SCHEDULERS
     ]
@@ -78,9 +81,9 @@ def run_both(dag, cfg, scheme_name: str, **kwargs) -> tuple[tuple, tuple]:
 
 
 @pytest.mark.parametrize("workload", workload_names())
-@pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
 def test_equivalent_on_every_workload_and_policy(workload, scheme_name):
-    """Full cross product: 20 workloads x 10 policies, under cache
+    """Full cross product: 20 workloads x 12 policies, under cache
     pressure (40% of the peak live set) so evictions and prefetches
     actually fire."""
     dag = build_workload_dag(workload, partitions=8)
@@ -107,7 +110,7 @@ def test_equivalent_traces_recorded():
     traces = []
     for scheduler in SCHEDULERS:
         recorder = TraceRecorder()
-        simulate(dag, cfg, build_scheme("mrd"), scheduler=scheduler,
+        simulate(dag, cfg, resolve_scheme("mrd").build(), scheduler=scheduler,
                  recorder=recorder)
         traces.append([ev.to_dict() for ev in recorder.events])
     assert traces[0] == traces[1]
@@ -118,7 +121,7 @@ def test_equivalent_traces_recorded():
     seed=st.integers(0, 40),
     num_jobs=st.integers(2, 8),
     cache=st.floats(4.0, 120.0),
-    scheme_name=st.sampled_from(sorted(SCHEME_BUILDERS)),
+    scheme_name=st.sampled_from(SCHEME_NAMES),
 )
 def test_equivalent_on_random_applications(seed, num_jobs, cache, scheme_name):
     """Property form: random synthetic DAGs, any policy, any pressure."""
@@ -143,7 +146,7 @@ def test_equivalent_under_rpc_control_plane(scheme_name):
 
 
 @pytest.mark.parametrize("workload", ["KM", "PR", "CC"])
-@pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
 def test_rpc_at_zero_matches_instant(workload, scheme_name):
     """An rpc plane with all knobs at zero is semantically invisible:
     same fingerprint and the same whole ``ControlPlaneStats`` (``sent``
@@ -151,17 +154,17 @@ def test_rpc_at_zero_matches_instant(workload, scheme_name):
     the instant plane builds no status reports or table broadcasts."""
     dag = build_workload_dag(workload, partitions=8)
     cfg = CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER))
-    m = simulate(dag, cfg, build_scheme(scheme_name))
+    m = simulate(dag, cfg, resolve_scheme(scheme_name).build())
     instant = (fingerprint(m), asdict(m.control))
     for scheduler in SCHEDULERS:
         m = simulate(
-            dag, cfg, build_scheme(scheme_name), scheduler=scheduler,
+            dag, cfg, resolve_scheme(scheme_name).build(), scheduler=scheduler,
             control_plane="rpc", control_config=RpcConfig(latency_s=0.0),
         )
         assert (fingerprint(m), asdict(m.control)) == instant
 
 
-@pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
 def test_columnar_store_matches_object_store(scheme_name):
     """The columnar block store is an acceleration index only: both
     store modes, on both scheduler cores, one fingerprint."""
@@ -172,7 +175,7 @@ def test_columnar_store_matches_object_store(scheme_name):
         for columnar in (True, False):
             with store_mode(columnar):
                 fps.add(fingerprint(simulate(
-                    dag, cfg, build_scheme(scheme_name), scheduler=scheduler
+                    dag, cfg, resolve_scheme(scheme_name).build(), scheduler=scheduler
                 )))
     assert len(fps) == 1
 
@@ -192,7 +195,7 @@ def test_cache_bound_profile_equivalent_across_store_modes(scheme_name):
         for columnar in (True, False):
             with store_mode(columnar):
                 fps.add(fingerprint(simulate(
-                    dag, cfg, build_scheme(scheme_name), scheduler=scheduler
+                    dag, cfg, resolve_scheme(scheme_name).build(), scheduler=scheduler
                 )))
     assert len(fps) == 1
 
@@ -223,7 +226,7 @@ def test_tenancy_route_equivalent_across_store_modes():
 def test_unknown_scheduler_rejected():
     dag = build_workload_dag("KM", partitions=8)
     with pytest.raises(ValueError, match="scheduler"):
-        SparkSimulator(dag, CLUSTER, build_scheme("lru"), scheduler="fifo")
+        SparkSimulator(dag, CLUSTER, resolve_scheme("lru").build(), scheduler="fifo")
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +237,7 @@ def run_both_recorded(dag, cfg, scheme_name: str, **kwargs) -> list[tuple]:
     results = []
     for scheduler in SCHEDULERS:
         recorder = TraceRecorder()
-        metrics = simulate(dag, cfg, build_scheme(scheme_name),
+        metrics = simulate(dag, cfg, resolve_scheme(scheme_name).build(),
                            scheduler=scheduler, recorder=recorder, **kwargs)
         results.append(
             (fingerprint(metrics), [ev.to_dict() for ev in recorder.events])
@@ -348,7 +351,7 @@ def test_inert_stage_applies_due_heads_at_next_wave_start(scheduler):
     dag = build_dag(generate_application(0, SyntheticConfig(
         num_jobs=2, partitions=24, cache_probability=0.0,
     )))
-    sim = SparkSimulator(dag, CLUSTER, build_scheme("lru"), scheduler=scheduler,
+    sim = SparkSimulator(dag, CLUSTER, resolve_scheme("lru").build(), scheduler=scheduler,
                          control_plane="rpc", control_config=RpcConfig())
     sim._start_run(0.0)
     stage = dag.active_stages[0]
@@ -538,10 +541,14 @@ def states_per_stage(monkeypatch, run) -> tuple[RunMetrics, list]:
 
 #: (seed, scheme, nodes, slots, heterogeneity, cache MB, placement):
 #: every policy, large caches that keep every read a hit and tight ones
-#: whose write-only stages evict.
+#: whose write-only stages evict.  A scheme's position is its seed; the
+#: MRD mode and metric variants go last, so the other schemes' seeds
+#: (and case ids) do not depend on them.
 FIXED_COST_CASES = [
     (seed, scheme, 2 + seed % 3, 1 + seed % 3, 0.3 * (seed % 2), cache, placement)
-    for seed, scheme in enumerate(sorted(SCHEME_BUILDERS))
+    for seed, scheme in enumerate(sorted(
+        SCHEME_NAMES, key=lambda name: (name in ("mrd-adhoc", "mrd-jobdist"), name)
+    ))
     for cache, placement in ((10_000.0, "stride"), (24.0, "rendezvous"))
 ]
 
@@ -567,7 +574,7 @@ def test_fixed_cost_stages_equivalent(
     )
 
     def run(scheduler="event"):
-        return simulate(dag, cfg, build_scheme(scheme_name),
+        return simulate(dag, cfg, resolve_scheme(scheme_name).build(),
                         scheduler=scheduler, placement=placement)
 
     spy = ClosedFormSpy(monkeypatch)

@@ -18,6 +18,8 @@ class TestSchemeSpec:
         assert SchemeSpec("MRD", metric="job").name == "MRD-jobdist"
         assert SchemeSpec("MRD", mode="adhoc").name == "MRD-adhoc"
         assert SchemeSpec("LRU").name == "LRU"
+        # Grid labels (and so cell fingerprints) rely on this.
+        assert all(spec.name == name for name, spec in SCHEME_SPECS.items())
 
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme base"):
@@ -47,6 +49,7 @@ class TestSchemeSpec:
 
     def test_resolve_by_name_and_error(self):
         assert resolve_scheme("MRD-evict") == SchemeSpec("MRD", prefetch=False)
+        assert resolve_scheme("mrd-EVICT") is SCHEME_SPECS["MRD-evict"]
         with pytest.raises(ValueError, match="unknown scheme"):
             resolve_scheme("MAGIC")
 
@@ -168,6 +171,11 @@ class TestGridSpec:
                      {"name": "plain", "base": "LRU"}],
         )
         assert [c.scheme for c in grid.cells()] == ["fancy", "plain"]
+
+    def test_name_in_any_case_is_one_cell(self):
+        lower, upper = GridSpec(workloads=["SP"], schemes=["mrd-adhoc", "MRD-adhoc"]).cells()
+        assert lower.scheme == upper.scheme == "MRD-adhoc"
+        assert lower.fingerprint() == upper.fingerprint()
 
     def test_from_dict_strict_keys(self):
         with pytest.raises(ValueError, match="unknown grid spec key"):

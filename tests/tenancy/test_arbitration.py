@@ -11,7 +11,6 @@ from repro.tenancy.arbitration import (
     RDD_NAMESPACE_STRIDE,
     ArbitratedNodePolicy,
     GlobalDistance,
-    MaxMinFair,
     StaticShares,
     TenantStoreView,
     VictimCandidate,
@@ -123,43 +122,6 @@ class TestStaticShares:
                 VictimCandidate(0, bid(0, 1), 10.0, 40.0, 1.0, 0.0),
                 VictimCandidate(1, bid(1, 1), 10.0, 40.0, 1.0, 0.0),
             ],
-            capacity_mb=100.0,
-        )
-        assert pick.app_index == 0
-
-
-class TestMaxMinFair:
-    def test_evicts_overage_above_fair_allocation(self):
-        # capacity 100, demands 80 vs 20: fair split is 50/50 capped at
-        # demand -> app 1 keeps its 20, app 0 is 30 over its 50.
-        pick = MaxMinFair().pick(
-            [
-                VictimCandidate(0, bid(0, 1), 10.0, 80.0, 1.0, 0.0),
-                VictimCandidate(1, bid(1, 1), 10.0, 20.0, 1.0, 0.0),
-            ],
-            capacity_mb=100.0,
-        )
-        assert pick.app_index == 0
-
-    def test_weighted_water_filling(self):
-        # Shares 3:1 over capacity 80 -> fair 60/20; app 1 at 30 is the
-        # only tenant over its allocation despite the smaller footprint.
-        pick = MaxMinFair().pick(
-            [
-                VictimCandidate(0, bid(0, 1), 10.0, 50.0, 3.0, 0.0),
-                VictimCandidate(1, bid(1, 1), 10.0, 30.0, 1.0, 0.0),
-            ],
-            capacity_mb=80.0,
-        )
-        assert pick.app_index == 1
-
-    def test_under_capacity_falls_back_to_weighted_usage(self):
-        pick = MaxMinFair().pick(
-            [
-                VictimCandidate(0, bid(0, 1), 10.0, 30.0, 1.0, 0.0),
-                VictimCandidate(1, bid(1, 1), 10.0, 20.0, 1.0, 0.0),
-            ],
-            capacity_mb=100.0,
         )
         assert pick.app_index == 0
 

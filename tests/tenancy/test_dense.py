@@ -67,13 +67,8 @@ QUEUED_DECOMMISSION = dict(
     ),
 )
 
-#: Static and max-min digests coincide: max-min water-fills only over
-#: the tenants holding evictable blocks, whose usage never exceeds the
-#: node's capacity, so nobody is over its fair allocation and max-min
-#: falls back to static's weighted-usage key on every pick.
 PINNED_DENSE_DIGESTS = {
     "static": "7490c22dd6955904",
-    "maxmin": "7490c22dd6955904",
     "global-mrd": "764496a0bf88c201",
     "global-mrd-queued-decommission": "4ee23c1ba4662c1b",
 }

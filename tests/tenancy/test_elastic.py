@@ -175,7 +175,7 @@ def test_decommissioned_slot_can_rejoin():
 _LOSSY_RPC = RpcConfig(latency_s=0.2, jitter_s=0.3, loss_rate=0.05, seed=11)
 
 #: Churn mixes: a rejoin, a late arrival after a decommission, and the
-#: maxmin and global-mrd arbitrations under churn.
+#: static (with unequal shares) and global-mrd arbitrations under churn.
 CHURN_MIXES = {
     "rejoin": dict(
         apps=[KM, AppSpec(workload="PR", scheme="LRU", partitions=8)],
@@ -192,11 +192,11 @@ CHURN_MIXES = {
         memberships=(TimedNodeDecommission(at=10.0, node_id=1),
                      TimedNodeJoin(at=40.0)),
     ),
-    "maxmin": dict(
+    "static-churn": dict(
         apps=[KM, AppSpec(workload="SVD++", scheme="MRD", partitions=8, share=2.0),
               AppSpec(workload="PR", scheme="LRU", partitions=8)],
         arrivals=PoissonArrivals(rate=0.1, seed=3),
-        arbitration="maxmin",
+        arbitration="static",
         rebalance="migrate",
         memberships=(TimedNodeJoin(at=8.0), TimedNodeDecommission(at=20.0)),
         control_plane="rpc",
@@ -217,8 +217,8 @@ CHURN_MIXES = {
 PINNED_MIX_DIGESTS = {
     "global-mrd": "c91a7a70bac94ece",
     "late-arrival": "a0584e9e189b0bae",
-    "maxmin": "67b1c21b4edc0e17",
     "rejoin": "06fcc09d350b5732",
+    "static-churn": "67b1c21b4edc0e17",
 }
 
 

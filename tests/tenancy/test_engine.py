@@ -29,7 +29,7 @@ def run(apps=APPS, cfg=CLUSTER, **kwargs):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("arbitration", ["static", "maxmin", "global-mrd"])
+    @pytest.mark.parametrize("arbitration", ["static", "global-mrd"])
     def test_identical_reruns(self, arbitration):
         kwargs = dict(
             arrivals=PoissonArrivals(rate=0.05, seed=9), arbitration=arbitration
@@ -45,7 +45,7 @@ class TestDeterminism:
             [m.arrival_time for m in b.apps]
 
     def test_convenience_wrapper_matches_class(self):
-        kwargs = dict(arrivals=FixedArrivals(interval=3.0), arbitration="maxmin")
+        kwargs = dict(arrivals=FixedArrivals(interval=3.0), arbitration="global-mrd")
         assert mt_metrics_to_dict(simulate_multi_tenant(APPS, CLUSTER, **kwargs)) \
             == mt_metrics_to_dict(run(**kwargs).run())
 

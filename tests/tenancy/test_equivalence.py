@@ -52,7 +52,7 @@ def test_single_app_matches_standalone_everywhere(workload, scheme):
     assert run_single_app_mt(workload, scheme, cfg) == standalone
 
 
-@pytest.mark.parametrize("arbitration", ["static", "maxmin", "global-mrd"])
+@pytest.mark.parametrize("arbitration", ["static", "global-mrd"])
 def test_single_app_identical_under_every_arbitration(arbitration):
     """With one tenant the arbitration policy must be unobservable —
     the composite node policy delegates verbatim."""

@@ -24,6 +24,7 @@ from repro.control.plane import RpcConfig
 from repro.experiments.harness import build_workload_dag, cache_mb_for
 from repro.simulator.engine import EventLoop, SparkSimulator
 from repro.simulator.failures import FailurePlan, build_churn_plan
+from repro.sweep.schemes import resolve_scheme
 from repro.tenancy import (
     AppSpec,
     FixedArrivals,
@@ -33,7 +34,6 @@ from repro.tenancy import (
     TimedNodeJoin,
 )
 from repro.tenancy.metrics import mt_metrics_to_dict
-from repro.trace.replay import build_scheme
 from tests.tenancy.loop_spec import PerTaskLoop
 from tests.tenancy.test_dense import QUEUED_DECOMMISSION, dense_mix, dense_run
 from tests.tenancy.test_elastic import CHURN_MIXES
@@ -96,7 +96,7 @@ def streams(draw):
     ]
     kwargs = dict(
         arrivals=arrivals,
-        arbitration=draw(st.sampled_from(["static", "maxmin", "global-mrd"])),
+        arbitration=draw(st.sampled_from(["static", "global-mrd"])),
         placement=draw(st.sampled_from(["stride", "rendezvous"])),
         rebalance=draw(st.sampled_from(["drop", "migrate"])),
         memberships=memberships,
@@ -175,7 +175,7 @@ def test_standalone_churned_runs_conserve_slots(loops, plan, placement, plane):
     if plane == "rpc":
         rpc = dict(control_plane="rpc", control_config=RpcConfig(latency_s=0.5))
     SparkSimulator(
-        dag, CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER)), build_scheme("mrd"),
+        dag, CLUSTER.with_cache(cache_mb_for(dag, 0.4, CLUSTER)), resolve_scheme("MRD").build(),
         failure_plan=STANDALONE_PLANS[plan](), placement=placement,
         rebalance="migrate", **rpc,
     ).run()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import SCHEME_FACTORIES, build_parser, main
+from repro.cli import build_parser, main
+from repro.sweep.schemes import SCHEME_SPECS
 
 
 class TestParser:
@@ -250,11 +251,34 @@ class TestCommands:
         assert "Control-plane latency" in capsys.readouterr().out
 
     def test_every_scheme_name_runs(self, capsys):
-        for name in SCHEME_FACTORIES:
+        for name in SCHEME_SPECS:
             assert main([
                 "run", "SP", "--scheme", name, "--partitions", "8",
                 "--cache-fraction", "0.4",
             ]) == 0
+
+    @pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+    def test_scheme_names_accepted_in_any_case(self, name, capsys):
+        """``run``, ``trace record`` and ``mt run`` take every registered
+        name, in its own spelling and in lower case, and build the same
+        scheme for both."""
+        small = ["SP", "--cluster", "test", "--partitions", "4"]
+        shown = f" {SCHEME_SPECS[name].build().name} "
+        for spelling in (name, name.lower()):
+            assert main(["run", *small, "--scheme", spelling]) == 0
+            assert shown in capsys.readouterr().out
+            assert main(["trace", "record", *small, "--scheme", spelling]) == 0
+            assert shown in capsys.readouterr().out
+            assert main(["mt", "run", *small, "--schemes", spelling]) == 0
+            assert shown in capsys.readouterr().out
+
+    def test_mode_and_metric_override_only_when_set(self, capsys):
+        assert main(["run", "SP", "--scheme", "MRD-adhoc", "--metric", "job",
+                     "--cluster", "test", "--partitions", "4"]) == 0
+        assert " MRD-jobdist-adhoc " in capsys.readouterr().out
+        assert main(["run", "SP", "--scheme", "MRD-evict", "--mode", "adhoc",
+                     "--cluster", "test", "--partitions", "4"]) == 0
+        assert " MRD-evict-adhoc " in capsys.readouterr().out
 
 
 class TestLintCommand:

@@ -39,11 +39,11 @@ def test_all_lists_are_sorted():
 
 
 def test_cli_schemes_construct():
-    from repro.cli import SCHEME_FACTORIES
     from repro.policies import CacheScheme
+    from repro.sweep.schemes import SCHEME_SPECS, resolve_scheme
 
-    for name, factory in SCHEME_FACTORIES.items():
-        scheme = factory()
+    for name in SCHEME_SPECS:
+        scheme = resolve_scheme(name).build()
         assert isinstance(scheme, CacheScheme), name
 
 

@@ -11,6 +11,7 @@ from repro.experiments.harness import sweep_workload
 from repro.policies.scheme import LruScheme
 from repro.simulator.config import TEST_CLUSTER
 from repro.simulator.engine import simulate
+from repro.sweep.schemes import resolve_scheme
 from repro.trace.events import (
     EVENT_TYPES,
     CacheHit,
@@ -25,7 +26,6 @@ from repro.trace.replay import (
     EVENT_GROUPS,
     GROUP_ORDER,
     TraceDiff,
-    build_scheme,
     detect_format,
     diff_trace_files,
     diff_traces,
@@ -75,12 +75,12 @@ def test_detect_rejects_empty(tmp_path):
 
 @pytest.mark.parametrize("name", ["lru", "LRU", "mrd", "MRD-evict", "belady"])
 def test_build_scheme_case_insensitive(name):
-    assert build_scheme(name).name
+    assert resolve_scheme(name).build().name
 
 
 def test_build_scheme_unknown():
-    with pytest.raises(ValueError, match="unknown policy"):
-        build_scheme("arc")
+    with pytest.raises(ValueError, match="unknown scheme"):
+        resolve_scheme("arc")
 
 
 # ----------------------------------------------------------------------
