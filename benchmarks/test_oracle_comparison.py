@@ -27,7 +27,7 @@ def run():
         results[name] = {
             "LRU": simulate(dag, config, LruScheme()),
             "MRD-evict": simulate(dag, config, MrdScheme(prefetch=False)),
-            "Belady-MIN": simulate(dag, config, BeladyScheme()),
+            "Belady": simulate(dag, config, BeladyScheme()),
             "True-MIN": true_min_metrics(dag, config),
             "MRD": simulate(dag, config, MrdScheme()),
         }
@@ -41,12 +41,12 @@ def render(results):
         rows.append(
             [name]
             + [round(runs[s].jct / lru, 3) for s in
-               ("MRD-evict", "Belady-MIN", "True-MIN", "MRD")]
+               ("MRD-evict", "Belady", "True-MIN", "MRD")]
             + [f"{runs['MRD-evict'].hit_ratio * 100:.0f}%",
                f"{runs['True-MIN'].hit_ratio * 100:.0f}%"]
         )
     return format_table(
-        ["Workload", "MRD-evict", "Belady-MIN", "True-MIN", "Full-MRD",
+        ["Workload", "MRD-evict", "Belady", "True-MIN", "Full-MRD",
          "MRD-evict hit", "True-MIN hit"],
         rows,
         title="Oracle comparison: JCT normalized to LRU (lower is better)",
@@ -57,9 +57,9 @@ def test_oracle_comparison(run_experiment):
     results = run_experiment(run, render=render)
     for name, runs in results.items():
         # MRD's eviction ranking matches the stage-granular oracle.
-        assert runs["MRD-evict"].stats.hits == runs["Belady-MIN"].stats.hits
+        assert runs["MRD-evict"].stats.hits == runs["Belady"].stats.hits
         # The block-level oracle can only match or beat it on hits
         # (small slack for remote-access trace staleness).
-        assert runs["True-MIN"].stats.hits >= runs["Belady-MIN"].stats.hits - 5
+        assert runs["True-MIN"].stats.hits >= runs["Belady"].stats.hits - 5
         # Prefetching pushes full MRD past every pure-eviction policy.
         assert runs["MRD"].jct <= runs["True-MIN"].jct * 1.05

@@ -13,7 +13,7 @@ Subpackages
 ``repro.simulator``
     The execution engine, cost model, metrics, failures, reporting.
 ``repro.policies``
-    LRU/FIFO/LFU/Random, LRC, MemTune, Belady-MIN, True-MIN, schemes.
+    LRU/FIFO/LFU/Random, LRC, MemTune, Belady (MIN), True-MIN, schemes.
 ``repro.core``
     The paper's contribution: AppProfiler, MRDmanager, CacheMonitor,
     the MRD_Table and the pluggable ``MrdScheme``.

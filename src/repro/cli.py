@@ -83,11 +83,17 @@ def _make_scheme(args: argparse.Namespace) -> CacheScheme:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     # --mode/--metric override an MRD spec only when moved off their
-    # defaults, so "MRD-adhoc" stays ad-hoc under --metric job.
-    if spec.base == "MRD" and args.mode != "recurring":
-        spec = replace(spec, mode=args.mode)
-    if spec.base == "MRD" and args.metric != "stage":
-        spec = replace(spec, metric=args.metric)
+    # defaults, so "MRD-adhoc" stays ad-hoc under --metric job.  Other
+    # schemes have no such knob: refuse rather than silently ignore it.
+    for field, default in (("mode", "recurring"), ("metric", "stage")):
+        value = getattr(args, field)
+        if value == default:
+            continue
+        if spec.base != "MRD":
+            raise SystemExit(
+                f"--{field} {value} applies to MRD schemes only, not {spec.name}"
+            )
+        spec = replace(spec, **{field: value})
     return spec.build()
 
 

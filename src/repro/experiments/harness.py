@@ -46,7 +46,7 @@ STANDARD_SCHEMES: dict[str, SchemeLike] = {
     "MRD-evict": SchemeSpec("MRD", prefetch=False),
     "MRD-prefetch": SchemeSpec("MRD", evict=False),
     "MRD": SchemeSpec("MRD"),
-    "Belady-MIN": SchemeSpec("Belady"),
+    "Belady": SchemeSpec("Belady"),
 }
 
 #: Cache sizes swept per workload, as fractions of peak live cached MB.

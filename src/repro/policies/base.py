@@ -161,23 +161,24 @@ class EvictionPolicy(abc.ABC):
         Policies whose batch path loses to the object sort on small
         stores call this directly below their engagement threshold.
         """
-        order = (
-            self.prefetch_eviction_order(store)
-            if for_prefetch
-            else self.eviction_order(store)
+        return walk_victims(
+            self._victim_order(store, for_prefetch), store, needed_mb, protect
         )
-        victims: list[BlockId] = []
-        freed = 0.0
-        for bid in order:
-            if freed >= needed_mb:
-                break
-            if bid in protect or store.is_pinned(bid):
-                continue
-            victims.append(bid)
-            freed += store.block(bid).size_mb
-        if freed >= needed_mb:
-            return victims
-        return None
+
+    def _victim_order(self, store: MemoryStore, for_prefetch: bool) -> Iterable[BlockId]:
+        """The order one selection walks, worst first.
+
+        Defaults to the public :meth:`eviction_order` (or
+        :meth:`prefetch_eviction_order`), which are snapshots.  Policies
+        that keep their order up to date return it *in place* — no copy,
+        no sort — so a caller must finish walking before the store
+        changes.  Both :meth:`_select_victims_walk` and the shared-node
+        merge (:class:`~repro.tenancy.arbitration.ArbitratedNodePolicy`)
+        walk this order.
+        """
+        if for_prefetch:
+            return self.prefetch_eviction_order(store)
+        return self.eviction_order(store)
 
     def select_victims_batch(
         self,
@@ -196,6 +197,33 @@ class EvictionPolicy(abc.ABC):
         columnar store (a tenant view) or required keys are missing.
         """
         return BATCH_UNSUPPORTED
+
+
+def walk_victims(
+    order: Iterable[BlockId],
+    store: MemoryStore,
+    needed_mb: float,
+    protect: AbstractSet[BlockId] = frozenset(),
+) -> list[BlockId] | None:
+    """Take blocks from ``order`` until ``needed_mb`` is freed.
+
+    Pinned and protected blocks are skipped; ``None`` means the
+    evictable blocks in ``order`` cannot cover the request.
+    """
+    victims: list[BlockId] = []
+    freed = 0.0
+    is_pinned = store.is_pinned
+    block = store.block
+    for bid in order:
+        if freed >= needed_mb:
+            break
+        if bid in protect or is_pinned(bid):
+            continue
+        victims.append(bid)
+        freed += block(bid).size_mb
+    if freed >= needed_mb:
+        return victims
+    return None
 
 
 PolicyFactory = Callable[[int], EvictionPolicy]

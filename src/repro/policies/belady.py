@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class BeladyPolicy(EvictionPolicy):
     """Evict the block referenced furthest in the future (MIN)."""
 
-    name = "Belady-MIN"
+    name = "Belady"
 
     def __init__(self, oracle: ProfileOracle) -> None:
         if oracle.visibility != "recurring":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator, Set as AbstractSet
+from collections.abc import Iterable, Iterator, Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
@@ -66,6 +66,12 @@ class FifoPolicy(EvictionPolicy):
     def eviction_order(self, store: MemoryStore) -> Iterator[BlockId]:
         return iter(list(self._queue.keys()))
 
+    def _victim_order(self, store: MemoryStore, for_prefetch: bool) -> Iterable[BlockId]:
+        """The arrival queue itself, oldest first — no copy."""
+        if for_prefetch:
+            return super()._victim_order(store, for_prefetch)
+        return self._queue
+
     def select_victims(
         self,
         store: MemoryStore,
@@ -73,27 +79,14 @@ class FifoPolicy(EvictionPolicy):
         protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
-        """Reference walk without the list copy; batch on large stores."""
+        """Queue walk on small stores; batch on large ones."""
         if for_prefetch:
             return super().select_victims(store, needed_mb, protect, for_prefetch)
         if len(self._queue) >= self.batch_min_blocks:
             batched = self.select_victims_batch(store, needed_mb, protect)
             if not isinstance(batched, BatchUnsupported):
                 return batched
-        victims: list[BlockId] = []
-        freed = 0.0
-        is_pinned = store.is_pinned
-        block = store.block
-        for bid in self._queue:
-            if freed >= needed_mb:
-                break
-            if bid in protect or is_pinned(bid):
-                continue
-            victims.append(bid)
-            freed += block(bid).size_mb
-        if freed >= needed_mb:
-            return victims
-        return None
+        return self._select_victims_walk(store, needed_mb, protect)
 
     def select_victims_batch(
         self,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator, Set as AbstractSet
+from collections.abc import Iterable, Iterator, Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
@@ -76,6 +76,15 @@ class LruPolicy(EvictionPolicy):
         # Oldest first.  Copy: callers may evict while iterating.
         return iter(list(self._recency.keys()))
 
+    def _victim_order(self, store: MemoryStore, for_prefetch: bool) -> Iterable[BlockId]:
+        """The recency queue itself, oldest first — no copy.
+
+        Prefetch selections keep the base order (see :meth:`select_victims`).
+        """
+        if for_prefetch:
+            return super()._victim_order(store, for_prefetch)
+        return self._recency
+
     def select_victims(
         self,
         store: MemoryStore,
@@ -83,7 +92,7 @@ class LruPolicy(EvictionPolicy):
         protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
     ) -> list[BlockId] | None:
-        """Reference walk without the list copy; batch on large stores.
+        """Queue walk on small stores; batch on large ones.
 
         Prefetch-triggered selections go through the base path so
         subclasses overriding ``prefetch_eviction_order`` (and its batch
@@ -95,20 +104,7 @@ class LruPolicy(EvictionPolicy):
             batched = self.select_victims_batch(store, needed_mb, protect)
             if not isinstance(batched, BatchUnsupported):
                 return batched
-        victims: list[BlockId] = []
-        freed = 0.0
-        is_pinned = store.is_pinned
-        block = store.block
-        for bid in self._recency:
-            if freed >= needed_mb:
-                break
-            if bid in protect or is_pinned(bid):
-                continue
-            victims.append(bid)
-            freed += block(bid).size_mb
-        if freed >= needed_mb:
-            return victims
-        return None
+        return self._select_victims_walk(store, needed_mb, protect)
 
     def select_victims_batch(
         self,

@@ -189,7 +189,7 @@ class LrcScheme(_OracleScheme):
 class BeladyScheme(_OracleScheme):
     """Clairvoyant MIN (upper bound)."""
 
-    name = "Belady-MIN"
+    name = "Belady"
 
     def policy_factory(self, node_id: int) -> EvictionPolicy:
         assert self.oracle is not None

@@ -21,6 +21,12 @@ class TestSchemeSpec:
         # Grid labels (and so cell fingerprints) rely on this.
         assert all(spec.name == name for name, spec in SCHEME_SPECS.items())
 
+    @pytest.mark.parametrize("name", sorted(SCHEME_SPECS))
+    def test_built_scheme_carries_the_spec_name(self, name):
+        """A sweep cell or ``mt run`` row labelled by the spec and a
+        ``repro run`` of the built scheme print the same name."""
+        assert SCHEME_SPECS[name].build().name == name
+
     def test_unknown_base_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme base"):
             SchemeSpec("ARC")

@@ -65,6 +65,14 @@ class TestCommands:
         assert main(["run", "SP", "--metric", "job", "--partitions", "16"]) == 0
         assert "MRD-jobdist" in capsys.readouterr().out
 
+    def test_mode_rejected_for_non_mrd_scheme(self):
+        with pytest.raises(SystemExit, match="--mode adhoc .* not LRU"):
+            main(["run", "SP", "--scheme", "LRU", "--mode", "adhoc"])
+
+    def test_metric_rejected_for_non_mrd_scheme(self):
+        with pytest.raises(SystemExit, match="--metric job .* not Belady"):
+            main(["run", "SP", "--scheme", "belady", "--metric", "job"])
+
     def test_sweep(self, capsys):
         assert main([
             "sweep", "SP", "--schemes", "LRU,MRD", "--fractions", "0.3,0.6",
