@@ -159,7 +159,7 @@ class MemoryStore:
         that, inserts and evictions skip row maintenance entirely, so
         stores that never cross a batch threshold never pay for the
         index.  Key/aux columns start stale — the caller's rebuild
-        contract (``_keys_valid``/``_keys_dirty``/``_aux_dirty``)
+        contract (``_keys_valid``/``_aux_dirty``)
         stamps them immediately after activation.
         """
         if self._cols_active:
@@ -236,7 +236,7 @@ class MemoryStore:
         self._col_size[row] = block.size_mb
         # key/aux are deliberately left stale: both columns are only read
         # by batch selections, and every batching policy rewrites its
-        # rows before the first read (the ``_keys_valid``/``_keys_dirty``
+        # rows before the first read (the ``_keys_valid``/``_aux_dirty``
         # rebuild contracts) and maintains them per insert afterwards.
         self._rows[bid] = row
         self._row_ids.append(bid)

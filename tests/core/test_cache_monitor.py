@@ -1,13 +1,16 @@
 """Unit tests for the per-node CacheMonitor."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.block import Block, BlockId
 from repro.cluster.memory_store import MemoryStore
 from repro.core.app_profiler import AppProfiler
-from repro.core.cache_monitor import CacheMonitor
+from repro.core.cache_monitor import TIE_BREAKERS, CacheMonitor
 from repro.core.manager import MrdManager
 from repro.dag.dag_builder import build_dag
+from repro.policies.base import walk_victims
 from repro.policies.profile_oracle import INFINITE
 from tests.conftest import make_iterative_app
 
@@ -139,3 +142,78 @@ class TestDistanceLookup:
         links = rdd_by_name(manager, "parsed-links")
         assert monitor.manager.distance(links.id) == manager.distance(links.id)
         assert monitor.manager.distance(12345) == INFINITE
+
+
+class _DriftingManager:
+    """Live distances that change without a broadcast."""
+
+    def __init__(self) -> None:
+        self.table: dict[int, float] = {}
+
+    def distance(self, rdd_id: int) -> float:
+        return self.table.get(rdd_id, INFINITE)
+
+
+_MONITOR_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.integers(0, 3),
+            st.integers(0, 5),
+            st.sampled_from([1.0, 2.0, 3.0]),
+        ),
+        st.tuples(st.sampled_from(["get", "remove", "pin", "unpin"]), st.integers(0, 99)),
+        st.tuples(st.just("drift"), st.integers(0, 3), st.sampled_from([1.0, 2.0, INFINITE])),
+        st.tuples(st.just("broadcast"), st.integers(-1, 1)),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tie_breaker=st.sampled_from(TIE_BREAKERS),
+    columnar=st.booleans(),
+    ops=_MONITOR_OPS,
+    data=st.data(),
+)
+def test_selection_walk_matches_a_fresh_sort(tie_breaker, columnar, ops, data):
+    """The maintained order ``select_victims`` walks picks exactly what
+    a fresh sort of the store picks: before any broadcast (live drift),
+    after accepted and refused broadcasts, through inserts, evictions,
+    removals and pins."""
+    live = _DriftingManager()
+    monitor = CacheMonitor(0, live, tie_breaker=tie_breaker)
+    store = MemoryStore(12.0, monitor, columnar=columnar)
+    seq = 0
+    for op in ops:
+        name = op[0]
+        if name == "put":
+            store.put(Block(BlockId(op[1], op[2]), op[3]))
+        elif name == "drift":
+            live.table[op[1]] = op[2]
+        elif name == "broadcast":
+            seq += op[1]
+            monitor.on_table_update(seq, dict(live.table))
+        else:
+            resident = sorted(store.block_ids(), key=lambda b: (b.rdd_id, b.partition))
+            if not resident:
+                continue
+            bid = resident[op[1] % len(resident)]
+            if name == "get":
+                store.get(bid)
+            elif name == "pin":
+                store.pin(bid)
+            elif name == "unpin" and store.is_pinned(bid):
+                store.unpin(bid)
+            elif name == "remove" and not store.is_pinned(bid):
+                store.remove(bid)
+        resident = list(store.block_ids())
+        protect = frozenset(
+            data.draw(st.lists(st.sampled_from(resident), max_size=2)) if resident else ()
+        )
+        needed = data.draw(st.sampled_from([0.5, 2.0, 5.0, 12.0]))
+        expected = walk_victims(monitor.eviction_order(store), store, needed, protect)
+        for for_prefetch in (False, True):
+            assert monitor.select_victims(store, needed, protect, for_prefetch) == expected

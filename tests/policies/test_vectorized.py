@@ -1,11 +1,12 @@
 """Property tests: batched victim selection == per-object reference walk.
 
 The columnar batch path (:mod:`repro.policies.vectorized`) and every
-policy-maintained fast order (LRU's queue walk, the CacheMonitor's
-incrementally sorted order) must be byte-identical to the per-object
-reference walk — on random stores with duplicate sizes and heavily
-tied keys, random pins and protected sets, and distance-table
-broadcasts arriving mid-stream.
+policy-maintained fast order (LRU's queue walk) must be byte-identical
+to the per-object reference walk — on random stores with duplicate
+sizes and heavily tied keys, random pins and protected sets, and
+distance-table broadcasts arriving mid-stream.  (The CacheMonitor has
+no batch path; ``tests/core/test_cache_monitor.py`` holds its
+maintained order to a fresh sort.)
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.block import Block, BlockId
 from repro.cluster.memory_store import MemoryStore, store_mode
-from repro.core.cache_monitor import TIE_BREAKERS, CacheMonitor
 from repro.core.policy import PrefetchAwareLruPolicy
 from repro.policies.base import BatchUnsupported
 from repro.policies.fifo import FifoPolicy
@@ -31,20 +31,11 @@ class _StubManager:
 
 
 #: (label, factory, for_prefetch) — every policy with a batch path,
-#: the three CacheMonitor tie-breakers, and the prefetch-only variant's
-#: distance-ordered prefetch selection.
+#: and the prefetch-only variant's distance-ordered prefetch selection.
 POLICIES = [
     ("lru", LruPolicy, False),
     ("fifo", FifoPolicy, False),
     ("lfu", LfuPolicy, False),
-    *(
-        (
-            f"mrd-{tb}",
-            lambda tb=tb: CacheMonitor(0, _StubManager(), tie_breaker=tb),
-            False,
-        )
-        for tb in TIE_BREAKERS
-    ),
     ("mrd-prefetch", lambda: PrefetchAwareLruPolicy(_StubManager()), True),
 ]
 
