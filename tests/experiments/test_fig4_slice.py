@@ -1,0 +1,35 @@
+"""Pinned digest of a Fig. 4 slice: the cache-bound read-through path.
+
+Three graph/ML workloads at a tight and a roomy cache fraction, under
+all four Fig. 4 schemes, run exactly as ``fig4.run`` runs them.  Every
+eviction, refusal, promote and prefetch on this path feeds a metric the
+digest covers, so any bit-level change to what the Fig. 4 grid computes
+shows here without running the full sweep.
+"""
+
+from __future__ import annotations
+
+from repro.experiments import fig4
+from repro.experiments.harness import sweep_workload
+from repro.simulator.config import MAIN_CLUSTER
+
+from tests.simulator.run_digest import run_digest
+
+SLICE_WORKLOADS = ("PR", "KM", "SVD++")
+SLICE_FRACTIONS = (0.35, 0.7)
+
+PINNED_SLICE_DIGEST = "a748d12e3aef6655"
+
+
+def test_fig4_slice_digest_is_pinned():
+    metrics = []
+    for name in SLICE_WORKLOADS:
+        sweep = sweep_workload(
+            name,
+            schemes=fig4.FIG4_SCHEMES,
+            cluster=MAIN_CLUSTER,
+            cache_fractions=SLICE_FRACTIONS,
+        )
+        metrics.extend(run.metrics for run in sweep.runs)
+    assert len(metrics) == len(SLICE_WORKLOADS) * len(SLICE_FRACTIONS) * 4
+    assert run_digest(metrics) == PINNED_SLICE_DIGEST
