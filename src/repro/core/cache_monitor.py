@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from repro.cluster.block import Block, BlockId
 from repro.core.manager import MrdManager
 from repro.core.mrd_table import INFINITE
-from repro.policies.base import EvictionPolicy, walk_victims
+from repro.policies.base import EvictionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.memory_store import MemoryStore
@@ -78,6 +78,10 @@ class MrdTableView:
 #:   data like graph edges over per-iteration temporaries).
 TIE_BREAKERS = ("partition", "size", "creation")
 
+#: ``(-distance, tie, -partition, -rdd_id)``: ascending order is eviction
+#: order, and the id terms make every block's key unique.
+EvictKey = tuple[float, float, int, int]
+
 
 class CacheMonitor(MrdTableView, EvictionPolicy):
     """Greatest-reference-distance eviction for one node."""
@@ -103,15 +107,21 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         #: insertion/deletion) and on an accepted table broadcast (full
         #: invalidation) — selections walk it in O(victims) instead of
         #: re-sorting the store.  ``None`` = rebuild on next selection.
-        self._order: list[tuple[tuple[float, float, int, int], BlockId]] | None = None
+        self._order: list[tuple[EvictKey, BlockId]] | None = None
+        #: Each ordered block's key, as stored in ``_order`` (kept only
+        #: while the order is): removal finds its entry without
+        #: recomputing the key.
+        self._keys: dict[BlockId, EvictKey] = {}
 
     def _live_distance(self, rdd_id: int) -> float:
         return self.manager.distance(rdd_id)
 
     def on_insert(self, block: Block) -> None:
-        self._sizes[block.id] = block.size_mb
+        bid = block.id
+        self._sizes[bid] = block.size_mb
         if self._order is not None:
-            insort(self._order, (self._evict_key(block.id), block.id))
+            key = self._keys[bid] = self._evict_key(bid)
+            insort(self._order, (key, bid))
 
     def on_access(self, block: Block) -> None:
         """Reads leave the order alone: ``_evict_key`` has no recency term."""
@@ -120,20 +130,19 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         applied = super().on_table_update(seq, distances)
         if applied:
             self._order = None
+            self._keys = {}
         return applied
 
     def on_remove(self, block_id: BlockId) -> None:
         order = self._order
         if order is not None:
-            # Key recomputation is exact: the held view cannot have
-            # changed since the entry was inserted (an accepted update
-            # clears the order) and ``_sizes`` is popped only below.
-            entry = (self._evict_key(block_id), block_id)
-            i = bisect_left(order, entry)
-            if i < len(order) and order[i] == entry:
+            key = self._keys.pop(block_id, None)
+            i = -1 if key is None else bisect_left(order, (key, block_id))
+            if 0 <= i < len(order) and order[i][1] == block_id:
                 del order[i]
             else:  # pragma: no cover - defensive: untracked removal
                 self._order = None
+                self._keys = {}
         self._sizes.pop(block_id, None)
 
     def eviction_order(self, store: MemoryStore) -> Iterator[BlockId]:
@@ -155,8 +164,12 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         incoming = self._evict_key(block.id)
         return all(incoming > self._evict_key(v) for v in victims)
 
-    def _evict_key(self, bid: BlockId) -> tuple[float, float, int, int]:
-        dist = self.lookup_distance(bid.rdd_id)
+    def _evict_key(self, bid: BlockId) -> EvictKey:
+        view = self._distances
+        if view is not None:
+            dist = view.get(bid.rdd_id, INFINITE)
+        else:
+            dist = self.manager.distance(bid.rdd_id)
         if self.tie_breaker == "size":
             tie = -self._sizes.get(bid, 0.0)
         elif self.tie_breaker == "creation":
@@ -178,12 +191,15 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         """
         if self._distances is None:
             return self.eviction_order(store)
+        return map(itemgetter(1), self._maintained_order())
+
+    def _maintained_order(self) -> list[tuple[EvictKey, BlockId]]:
+        """``_order``, rebuilt from ``_sizes`` after an accepted broadcast."""
         order = self._order
         if order is None:
-            order = self._order = sorted(
-                (self._evict_key(bid), bid) for bid in self._sizes
-            )
-        return map(itemgetter(1), order)
+            keys = self._keys = {bid: self._evict_key(bid) for bid in self._sizes}
+            order = self._order = sorted(zip(keys.values(), keys))
+        return order
 
     def select_victims(
         self,
@@ -191,8 +207,36 @@ class CacheMonitor(MrdTableView, EvictionPolicy):
         needed_mb: float,
         protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
+        incoming: Block | None = None,
     ) -> list[BlockId] | None:
-        """Walk :meth:`_victim_order`; this policy has no batch path."""
-        return walk_victims(
-            self._victim_order(store, for_prefetch), store, needed_mb, protect
-        )
+        """One walk of the maintained order that also decides admission.
+
+        :meth:`admit_over` admits ``incoming`` only if its key ranks after
+        every victim's, and victims are taken in key order, so the walk
+        refuses at the first eligible entry whose key is not below the
+        incoming block's: for a one-victim put that first comparison
+        decides.  The keys compared are the ones stored in the order,
+        which equal a recomputation (the held view cannot have changed
+        since they were stored).  Before the first table view the base
+        composition (sorted snapshot, then :meth:`admit_over`) answers.
+        """
+        if self._distances is None:
+            return super().select_victims(
+                store, needed_mb, protect, for_prefetch, incoming
+            )
+        order = self._maintained_order()
+        limit = None if incoming is None else self._evict_key(incoming.id)
+        victims: list[BlockId] = []
+        freed = 0.0
+        pinned = store.pinned_ids()
+        sizes = self._sizes
+        for key, bid in order:
+            if freed >= needed_mb:
+                return victims
+            if bid in protect or bid in pinned:
+                continue
+            if limit is not None and not key < limit:
+                return None
+            victims.append(bid)
+            freed += sizes[bid]
+        return victims if freed >= needed_mb else None

@@ -181,23 +181,6 @@ class MrdTable:
             return float(head[0] - self.current_seq)
         return float(head[1] - self.current_job)
 
-    def worst_distance(self, rdd_ids: Iterable[int]) -> float:
-        """Largest current distance among ``rdd_ids`` (-1.0 for none).
-
-        Short-circuits to ``INFINITE`` as soon as any id has no upcoming
-        reference: the callers (the manager's forced-prefetch guard and
-        the cross-app distance arbitration) only need to know whether
-        something already-dead is resident, not which one.
-        """
-        worst = -1.0
-        for rdd_id in rdd_ids:
-            d = self.distance(rdd_id)
-            if d == INFINITE:
-                return INFINITE
-            if d > worst:
-                worst = d
-        return worst
-
     def dead_rdds(self) -> list[int]:
         """Tracked RDDs whose reference list has emptied (infinite distance)."""
         return sorted(r for r, queue in self._refs.items() if not len(queue))
@@ -208,9 +191,17 @@ class MrdTable:
         This is what the driver broadcasts to workers at a stage
         boundary (and re-issues to a re-registered worker, §4.4): RDDs
         absent from the snapshot are implicitly at infinite distance,
-        matching :meth:`distance` for unknown ids.
+        matching :meth:`distance` for unknown ids.  Each value is the one
+        :meth:`distance` returns, computed inline (this runs at every
+        stage boundary over every tracked RDD).
         """
-        return {rdd_id: self.distance(rdd_id) for rdd_id in self._refs}
+        coord = self._coord
+        position = self.current_job if coord else self.current_seq
+        out: dict[int, float] = {}
+        for rdd_id, queue in self._refs.items():
+            head = queue.peek()
+            out[rdd_id] = INFINITE if head is None else float(head[coord] - position)
+        return out
 
     def candidates_by_distance(self) -> list[tuple[float, int]]:
         """(distance, rdd_id) for all finite-distance RDDs, nearest first."""

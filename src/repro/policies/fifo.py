@@ -78,15 +78,19 @@ class FifoPolicy(EvictionPolicy):
         needed_mb: float,
         protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
+        incoming: Block | None = None,
     ) -> list[BlockId] | None:
         """Queue walk on small stores; batch on large ones."""
         if for_prefetch:
-            return super().select_victims(store, needed_mb, protect, for_prefetch)
+            return super().select_victims(
+                store, needed_mb, protect, for_prefetch, incoming
+            )
         if len(self._queue) >= self.batch_min_blocks:
             batched = self.select_victims_batch(store, needed_mb, protect)
             if not isinstance(batched, BatchUnsupported):
-                return batched
-        return self._select_victims_walk(store, needed_mb, protect)
+                return self._admitted(batched, incoming, store, False)
+        victims = self._select_victims_walk(store, needed_mb, protect)
+        return self._admitted(victims, incoming, store, False)
 
     def select_victims_batch(
         self,

@@ -91,10 +91,14 @@ class LfuPolicy(EvictionPolicy):
         needed_mb: float,
         protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
+        incoming: Block | None = None,
     ) -> list[BlockId] | None:
         if len(store) < self.batch_min_blocks:
-            return self._select_victims_walk(store, needed_mb, protect, for_prefetch)
-        return super().select_victims(store, needed_mb, protect, for_prefetch)
+            victims = self._select_victims_walk(store, needed_mb, protect, for_prefetch)
+            return self._admitted(victims, incoming, store, for_prefetch)
+        return super().select_victims(
+            store, needed_mb, protect, for_prefetch, incoming
+        )
 
     def select_victims_batch(
         self,

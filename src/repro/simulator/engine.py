@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.cluster.block import Block, BlockId, block_of
-from repro.cluster.block_manager import AccessOutcome, BlockManager
+from repro.cluster.block_manager import DISK_READ, MEMORY_HIT, BlockManager
 from repro.cluster.cluster import Cluster, ClusterConfig, build_cluster, make_worker
 from repro.cluster.node import WorkerNode
 from repro.cluster.placement import PLACEMENTS
@@ -868,9 +868,9 @@ class SparkSimulator:
                 mgr.record_buffered_hit(bid)
             return t
         outcome = mgr.access(bid)
-        if outcome is AccessOutcome.MEMORY_HIT:
+        if outcome is MEMORY_HIT:
             return t
-        if outcome is AccessOutcome.DISK_READ:
+        if outcome is DISK_READ:
             t = mgr.node.reserve_io(t, size_mb)
             if self.promote_on_miss:
                 block = mgr.node.disk.get(bid)

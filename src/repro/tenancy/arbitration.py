@@ -88,6 +88,9 @@ class TenantStoreView:
     def is_pinned(self, block_id: BlockId) -> bool:
         return self._store.is_pinned(block_id)
 
+    def pinned_ids(self) -> AbstractSet[BlockId]:
+        return self._store.pinned_ids()
+
     def __contains__(self, block_id: BlockId) -> bool:
         return self._owned(block_id) and block_id in self._store
 
@@ -351,14 +354,18 @@ class ArbitratedNodePolicy(EvictionPolicy):
         needed_mb: float,
         protect: AbstractSet[BlockId] = frozenset(),
         for_prefetch: bool = False,
+        incoming: Block | None = None,
     ) -> list[BlockId] | None:
         single = self._single
         if single is not None:
             # Byte-identity fast path: with one tenant the composite is
             # a transparent wrapper over the tenant policy on the raw
-            # store — same victims, same order, same refusals.
+            # store — same victims, same order, same refusals.  A block
+            # no tenant owns has no admission rule to answer to.
+            if incoming is not None and owner_of(incoming.id.rdd_id) not in self._tenants:
+                incoming = None
             return single.policy.select_victims(
-                store, needed_mb, protect, for_prefetch
+                store, needed_mb, protect, for_prefetch, incoming
             )
         victims: list[BlockId] = []
         freed = 0.0
@@ -370,7 +377,7 @@ class ArbitratedNodePolicy(EvictionPolicy):
             bid, size = nxt
             victims.append(bid)
             freed += size
-        return victims
+        return self._admitted(victims, incoming, store, for_prefetch)
 
     def admit_over(
         self, block: Block, victims: list[BlockId], store: MemoryStore
@@ -420,14 +427,14 @@ class ArbitratedNodePolicy(EvictionPolicy):
         evictable (unpinned, unprotected) blocks, worst first; the
         caller must stop walking before the store changes.
         """
-        is_pinned = store.is_pinned
+        pinned = store.pinned_ids()
         block = store.block
 
         def head(
             app_index: int, tenant: _Tenant, walk: Iterator[BlockId], used_mb: float
         ) -> VictimCandidate | None:
             for bid in walk:
-                if bid in protect or is_pinned(bid):
+                if bid in protect or bid in pinned:
                     continue
                 dist = tenant.distance_of(bid.rdd_id)
                 return VictimCandidate(
