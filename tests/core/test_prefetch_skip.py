@@ -5,7 +5,8 @@ so an RDD with every partition resident has nothing to prefetch, and
 ``MrdManager._select_prefetches`` skips its partition walk.  These tests check that the skip gives exactly the orders of the
 full walk — over random residency, in-flight and disk states — and that
 under churned membership (where a block may sit off its home) the walk
-always runs.
+always runs.  They also check the planner against the planning rule
+applied one partition at a time.
 """
 
 from __future__ import annotations
@@ -112,6 +113,60 @@ def _build(sc):
                 host.node.memory.put(block)
     manager.table.advance(sc["seq"], DAG.job_of_seq(sc["seq"]))
     return manager, cluster
+
+
+def _partition_walk(manager, cluster):
+    """The planning rule applied one partition at a time, in candidate
+    then partition order, with the guard's worst resident distance
+    rescanned from the live table at every non-fitting block."""
+    cfg = manager.config
+    master = cluster.master
+    live = master.live_nodes()
+    threshold = manager.current_threshold(cluster)
+    free = {n.node_id: n.memory.free_mb for n in live}
+    capacity = {n.node_id: n.memory.capacity_mb for n in live}
+    issued = dict.fromkeys(free, 0)
+    orders = []
+    for dist, rdd_id in manager.table.candidates_by_distance():
+        if rdd_id not in manager._materialized:
+            continue
+        rdd = DAG.app.rdd_by_id(rdd_id)
+        size = rdd.partition_size_mb
+        for p in range(rdd.num_partitions):
+            node_id = master.placement.place(p)
+            if issued[node_id] >= cfg.max_prefetch_per_node:
+                continue
+            bid = BlockId(rdd.id, p)
+            mgr = master.managers[node_id]
+            memory = mgr.node.memory
+            if bid in memory or bid in mgr.inflight_prefetch or bid not in mgr.node.disk:
+                continue
+            cap = capacity[node_id]
+            above = cap > 0 and free[node_id] / cap >= threshold
+            if size > free[node_id] and (cfg.guarded_prefetch or not above):
+                worst = max(
+                    (
+                        manager.distance(r)
+                        for r in memory.resident_rdd_ids()
+                        if r in manager._known_rdds
+                    ),
+                    default=-1.0,
+                )
+                if worst <= dist:
+                    continue
+            orders.append(Block(id=bid, size_mb=size, rdd_name=rdd.name))
+            issued[node_id] += 1
+            free[node_id] = max(0.0, free[node_id] - size)
+    return orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(sc=scenarios())
+def test_planner_gives_the_partition_walks_orders(sc):
+    """Walking node by node, leaving a node once the guard refused a
+    block there, issues exactly the per-partition walk's orders."""
+    manager, cluster = _build(sc)
+    assert manager._select_prefetches(cluster) == _partition_walk(manager, cluster)
 
 
 @settings(max_examples=150, deadline=None)
