@@ -167,8 +167,7 @@ class BlockManagerMaster:
                 ):
                     node_dropped += 1
         if drop_disk:
-            for bid in [b for b in list(mgr.node.disk.block_ids()) if b.rdd_id == rdd_id]:
-                mgr.node.disk.remove(bid)
+            mgr.node.disk.remove_rdd(rdd_id)
         rec = mgr.recorder
         if rec.enabled and node_dropped:
             rec.emit(Purge(

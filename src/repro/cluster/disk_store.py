@@ -17,13 +17,20 @@ from repro.cluster.block import Block, BlockId
 
 
 class DiskStore:
-    """Unordered block map with size accounting."""
+    """Block map with size accounting and a per-RDD index.
+
+    The index lets a purge drop one RDD's blocks without scanning the
+    whole disk; it keeps each RDD's blocks in insertion order, so
+    :meth:`remove_rdd` removes them in the order a filtered scan would.
+    """
 
     def __init__(self, capacity_mb: float = 200_000.0) -> None:
         if capacity_mb <= 0:
             raise ValueError("disk capacity must be positive")
         self.capacity_mb = float(capacity_mb)
         self._blocks: dict[BlockId, Block] = {}
+        #: rdd id -> that RDD's block ids on this disk, in insertion order
+        self._by_rdd: dict[int, dict[BlockId, None]] = {}
         self._used_mb = 0.0
 
     @property
@@ -53,13 +60,32 @@ class DiskStore:
         if block.size_mb > self.free_mb:
             return False
         self._blocks[block.id] = block
+        ids = self._by_rdd.get(block.id.rdd_id)
+        if ids is None:
+            self._by_rdd[block.id.rdd_id] = {block.id: None}
+        else:
+            ids[block.id] = None
         self._used_mb += block.size_mb
         return True
 
     def remove(self, block_id: BlockId) -> Block | None:
         block = self._blocks.pop(block_id, None)
         if block is not None:
+            ids = self._by_rdd[block_id.rdd_id]
+            del ids[block_id]
+            if not ids:
+                del self._by_rdd[block_id.rdd_id]
             self._used_mb -= block.size_mb
             if self._used_mb < 1e-9:
                 self._used_mb = 0.0
         return block
+
+    def remove_rdd(self, rdd_id: int) -> int:
+        """Remove every block of ``rdd_id``; returns how many there were."""
+        ids = self._by_rdd.get(rdd_id)
+        if ids is None:
+            return 0
+        removed = list(ids)
+        for block_id in removed:
+            self.remove(block_id)
+        return len(removed)

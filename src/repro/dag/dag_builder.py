@@ -18,10 +18,16 @@ The algorithm mirrors Spark's ``DAGScheduler``:
    become cache writes.  This yields, per cached RDD, the exact
    sequence of stage indices at which its blocks are touched — the raw
    material for reference counts (LRC) and reference distances (MRD).
+
+Most stages of a long iterative application are skipped re-creations of
+earlier jobs' shuffle lineage, so the per-stage work is kept small: an
+RDD's shuffle frontier is computed once and shared by every job, and
+only submitted stages get their pipelines resolved.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from repro.dag.context import SparkApplication
@@ -80,29 +86,25 @@ class ApplicationDAG:
         )
 
 
-@dataclass
-class _StageSkeleton:
-    """Phase-A stage record, before pipelines/costs are resolved."""
-
-    id: int
-    job_id: int
-    rdd: RDD
-    shuffle_dep: ShuffleDependency | None
-    parent_ids: list[int]
-    skipped: bool
-
-
 class DagBuilder:
-    """Stateful two-phase builder; use :func:`build_dag` for the one-liner."""
+    """Stateful builder; use :func:`build_dag` for the one-liner.
+
+    Each job is compiled in three passes: create every stage of the
+    job's shuffle lineage (:meth:`_create_job_stages`), decide which of
+    them are submitted (:meth:`_submitted`), then emit a :class:`Stage`
+    per created stage, resolving pipelines and reference-profile events
+    for the submitted ones only.
+    """
 
     def __init__(self, app: SparkApplication) -> None:
         self.app = app
         self._stages: list[Stage] = []
-        self._skeletons: list[_StageSkeleton] = []
+        self._active: list[Stage] = []
         self._materialized_shuffles: set[int] = set()
-        #: cached rdd id -> seq of the stage that computed its blocks
-        self._computed_cached: dict[int, int] = {}
-        self._seq_counter = 0
+        #: ids of cached RDDs whose blocks an earlier stage computed
+        self._computed_cached: set[int] = set()
+        #: rdd id -> its untruncated shuffle frontier (job-independent)
+        self._frontiers: dict[int, tuple[ShuffleDependency, ...]] = {}
         self._profiles: dict[int, RddReferenceProfile] = {}
         self._unpersist_after: dict[int, int] = {
             ev.rdd.id: ev.after_job_id for ev in app.ctx.unpersist_events
@@ -113,81 +115,104 @@ class DagBuilder:
     # ------------------------------------------------------------------
     def build(self) -> ApplicationDAG:
         jobs: list[Job] = []
+        stages = self._stages
         for spec in self.app.jobs:
-            first_new = len(self._skeletons)
-            result_skel_id = self._build_job_skeletons(spec.target, spec.job_id)
-            new_skeletons = self._skeletons[first_new:]
-            self._mark_active(result_skel_id, spec.job_id)
-            for skel in new_skeletons:
-                self._stages.append(self._resolve_stage(skel))
-            job_stage_ids = tuple(s.id for s in new_skeletons)
-            active_ids = tuple(
-                s.id for s in new_skeletons if not s.skipped
-            )
+            job_id = spec.job_id
+            first = len(stages)
+            rdds, shuffle_deps, parent_ids, created = self._create_job_stages(spec.target)
+            result_id = first + len(rdds) - 1
+            submitted = self._submitted(result_id, first, rdds, created, job_id)
+            for sid, rdd, dep, parents in zip(
+                range(first, result_id + 1), rdds, shuffle_deps, parent_ids
+            ):
+                if sid in submitted:
+                    stage = self._resolve_stage(sid, job_id, rdd, dep, parents)
+                    self._active.append(stage)
+                else:  # positional, in field order: the hot path of the build
+                    stage = Stage(
+                        sid, job_id, -1, rdd, (), dep, parents, True,
+                        rdd.num_partitions, (), (), (), (), 0.0,
+                    )
+                stages.append(stage)
             jobs.append(
-                Job(id=spec.job_id, spec=spec, stage_ids=job_stage_ids, active_stage_ids=active_ids)
+                Job(
+                    id=job_id,
+                    spec=spec,
+                    stage_ids=tuple(range(first, result_id + 1)),
+                    active_stage_ids=tuple(sorted(submitted)),
+                )
             )
-        active = sorted((s for s in self._stages if s.is_active), key=lambda s: s.seq)
         for rdd_id, after in self._unpersist_after.items():
             if rdd_id in self._profiles:
                 self._profiles[rdd_id].unpersist_after_job = after
         return ApplicationDAG(
             app=self.app,
             jobs=jobs,
-            stages=self._stages,
-            active_stages=active,
+            stages=stages,
+            active_stages=self._active,
             profiles=self._profiles,
         )
 
     # ------------------------------------------------------------------
-    # phase A: stage skeleton creation (per job)
+    # stage creation and submission (per job)
     # ------------------------------------------------------------------
-    def _build_job_skeletons(self, target: RDD, job_id: int) -> int:
-        """Create this job's stage skeletons, parents before children.
+    def _create_job_stages(self, target: RDD) -> tuple[
+        list[RDD], list[ShuffleDependency | None], list[tuple[int, ...]], dict[int, int]
+    ]:
+        """Create this job's stages, parents before children.
 
         Mirrors Spark's ``createResultStage`` → ``getOrCreateParentStages``:
         the *entire* shuffle lineage gets a stage, regardless of cache
         state or earlier materialization — skipping is a submission-time
-        decision made separately in :meth:`_mark_active`.  Returns the
-        result skeleton's id.
+        decision made separately in :meth:`_submitted`.  Returns each
+        stage's output RDD, shuffle dependency (``None`` for the result
+        stage, which comes last) and parent stage ids, plus the map from
+        shuffle id to the stage id created for it.
         """
-        created: dict[object, int] = {}  # dedupe key -> skeleton id (within job)
+        base = len(self._stages)
+        frontiers = self._frontiers
+        created: dict[int, int] = {}
+        rdds: list[RDD] = []
+        shuffle_deps: list[ShuffleDependency | None] = []
+        parent_ids: list[tuple[int, ...]] = []
 
         # Post-order walk with an explicit stack (a shuffle lineage can
         # be deeper than Python's recursion limit).  Each frame is
-        # ``(rdd, shuffle_dep, key, parent deps, parent ids so far)``;
-        # a frame emits its skeleton once every parent has an id, so ids
-        # come out parents-first in the recursive definition's order.
-        def frame(rdd: RDD, shuffle_dep: ShuffleDependency | None, key: object) -> tuple:
-            parent_deps = self._frontier_shuffle_deps(rdd, job_id, truncate=False)
-            return rdd, shuffle_dep, key, parent_deps, []
+        # ``(rdd, shuffle_dep, frontier, pending parents)``; a frame
+        # emits its stage once every parent has an id, so ids come out
+        # parents-first in the recursive definition's order.
+        frontier = self._untruncated_frontier(target)
+        stack: list[
+            tuple[RDD, ShuffleDependency | None, tuple[ShuffleDependency, ...], Iterator[ShuffleDependency]]
+        ] = [(target, None, frontier, iter(frontier))]
+        while stack:
+            rdd, shuffle_dep, frontier, pending = stack[-1]
+            for dep in pending:
+                if dep.shuffle_id not in created:
+                    parent = dep.parent
+                    deps = frontiers.get(parent.id)  # the memo, inlined: once per stage
+                    if deps is None:
+                        deps = self._untruncated_frontier(parent)
+                    stack.append((parent, dep, deps, iter(deps)))
+                    break
+            else:
+                stack.pop()
+                if shuffle_dep is not None:
+                    created[shuffle_dep.shuffle_id] = base + len(rdds)
+                rdds.append(rdd)
+                shuffle_deps.append(shuffle_dep)
+                parent_ids.append(tuple([created[d.shuffle_id] for d in frontier]))
+        return rdds, shuffle_deps, parent_ids, created
 
-        stack = [frame(target, None, ("result", target.id))]
-        while True:
-            rdd, shuffle_dep, key, parent_deps, parent_ids = stack[-1]
-            if len(parent_ids) < len(parent_deps):
-                dep = parent_deps[len(parent_ids)]
-                if dep.shuffle_id in created:
-                    parent_ids.append(created[dep.shuffle_id])
-                else:  # resumed once the parent's skeleton exists
-                    stack.append(frame(dep.parent, dep, dep.shuffle_id))
-                continue
-            stack.pop()
-            skel = _StageSkeleton(
-                id=len(self._skeletons),
-                job_id=job_id,
-                rdd=rdd,
-                shuffle_dep=shuffle_dep,
-                parent_ids=parent_ids,
-                skipped=True,  # flipped by _mark_active for submitted stages
-            )
-            self._skeletons.append(skel)
-            created[key] = skel.id
-            if not stack:
-                return skel.id
-
-    def _mark_active(self, result_skel_id: int, job_id: int) -> None:
-        """Decide which of the job's stages actually execute.
+    def _submitted(
+        self,
+        result_id: int,
+        first: int,
+        rdds: list[RDD],
+        created: dict[int, int],
+        job_id: int,
+    ) -> set[int]:
+        """Ids of the job's stages that actually execute.
 
         Mirrors ``getMissingParentStages`` at job-submission time: walk
         the lineage, stopping at cached RDDs whose blocks already exist
@@ -195,57 +220,50 @@ class DagBuilder:
         Everything reached is submitted (active); the rest shows up as
         skipped stages, exactly like the Spark UI.
         """
-        by_shuffle_id: dict[int, _StageSkeleton] = {}
-        stack = [result_skel_id]
-        # Map this job's shuffle ids to skeletons (parents recorded on
-        # every skeleton, so a simple downward walk suffices).
-        walk = [result_skel_id]
-        seen: set[int] = set()
-        while walk:
-            sid = walk.pop()
-            if sid in seen:
-                continue
-            seen.add(sid)
-            skel = self._skeletons[sid]
-            if skel.shuffle_dep is not None:
-                by_shuffle_id[skel.shuffle_dep.shuffle_id] = skel
-            walk.extend(skel.parent_ids)
-
-        active: set[int] = set()
+        submitted: set[int] = set()
+        stack = [result_id]
         while stack:
             sid = stack.pop()
-            if sid in active:
+            if sid in submitted:
                 continue
-            active.add(sid)
-            skel = self._skeletons[sid]
-            skel.skipped = False
-            for dep in self._frontier_shuffle_deps(skel.rdd, job_id, truncate=True):
-                if dep.shuffle_id in self._materialized_shuffles:
-                    continue  # map output exists: parent stage skipped
-                parent = by_shuffle_id.get(dep.shuffle_id)
-                if parent is not None:
-                    stack.append(parent.id)
+            submitted.add(sid)
+            for dep in self._truncated_frontier(rdds[sid - first], job_id):
+                if dep.shuffle_id not in self._materialized_shuffles:
+                    stack.append(created[dep.shuffle_id])
+        return submitted
 
-    def _frontier_shuffle_deps(
-        self, rdd: RDD, job_id: int, truncate: bool
-    ) -> list[ShuffleDependency]:
+    def _untruncated_frontier(self, rdd: RDD) -> tuple[ShuffleDependency, ...]:
         """Shuffle deps reachable from ``rdd`` without crossing a shuffle.
 
-        With ``truncate=True`` the traversal also stops at cached RDDs
-        already computed (blocks available in memory or on disk), which
-        is Spark's submission-time rule; with ``truncate=False`` it is
-        the stage-*creation* rule that sees the whole lineage.
+        This is the stage-*creation* rule, which sees the whole lineage;
+        it does not depend on the job, so it is computed once per RDD.
         """
+        deps = self._frontiers.get(rdd.id)
+        if deps is None:
+            deps = self._frontiers[rdd.id] = self._frontier_shuffle_deps(rdd, lambda r: False)
+        return deps
+
+    def _truncated_frontier(self, rdd: RDD, job_id: int) -> tuple[ShuffleDependency, ...]:
+        """The submission-time frontier: as :meth:`_untruncated_frontier`,
+        but the traversal also stops below ``rdd`` at cached RDDs already
+        computed (blocks available in memory or on disk)."""
+        return self._frontier_shuffle_deps(
+            rdd, lambda r: r is not rdd and self._is_cache_hit_assumed(r, job_id)
+        )
+
+    @staticmethod
+    def _frontier_shuffle_deps(
+        rdd: RDD, truncated: Callable[[RDD], bool]
+    ) -> tuple[ShuffleDependency, ...]:
         deps: list[ShuffleDependency] = []
         seen: set[int] = set()
         stack = [rdd]
-        root_id = rdd.id
         while stack:
             r = stack.pop()
             if r.id in seen:
                 continue
             seen.add(r.id)
-            if truncate and r.id != root_id and self._is_cache_hit_assumed(r, job_id):
+            if truncated(r):
                 continue  # lineage truncated at an available cached RDD
             for dep in r.deps:
                 if isinstance(dep, ShuffleDependency):
@@ -254,49 +272,38 @@ class DagBuilder:
                     stack.append(dep.parent)
         # Deterministic order: by shuffle id.
         deps.sort(key=lambda d: d.shuffle_id)
-        return deps
+        return tuple(deps)
 
     # ------------------------------------------------------------------
-    # phase B: resolve pipelines, reads/writes, costs
+    # submitted stages: resolve pipelines, reads/writes, costs
     # ------------------------------------------------------------------
-    def _resolve_stage(self, skel: _StageSkeleton) -> Stage:
-        if skel.skipped:
-            return Stage(
-                id=skel.id,
-                job_id=skel.job_id,
-                seq=-1,
-                rdd=skel.rdd,
-                pipeline=(),
-                shuffle_dep=skel.shuffle_dep,
-                parent_stage_ids=tuple(skel.parent_ids),
-                skipped=True,
-                num_tasks=skel.rdd.num_partitions,
-                cache_reads=(),
-                cache_writes=(),
-                shuffle_reads=(),
-                input_reads=(),
-                compute_cost_per_task=0.0,
-            )
-
+    def _resolve_stage(
+        self,
+        stage_id: int,
+        job_id: int,
+        rdd: RDD,
+        shuffle_dep: ShuffleDependency | None,
+        parent_ids: tuple[int, ...],
+    ) -> Stage:
         pipeline: list[RDD] = []
         cache_reads: list[RDD] = []
         cache_writes: list[RDD] = []
         shuffle_reads: list[ShuffleDependency] = []
         input_reads: list[RDD] = []
         seen: set[int] = set()
-        stack = [skel.rdd]
+        stack = [rdd]
         while stack:
             r = stack.pop()
             if r.id in seen:
                 continue
             seen.add(r.id)
-            if self._is_cache_hit_assumed(r, skel.job_id):
+            if self._is_cache_hit_assumed(r, job_id):
                 cache_reads.append(r)
                 continue
             pipeline.append(r)
             if r.is_input:
                 input_reads.append(r)
-            if self._is_cached_in_job(r, skel.job_id):
+            if self._is_cached_in_job(r, job_id):
                 cache_writes.append(r)
             for dep in r.deps:
                 if isinstance(dep, ShuffleDependency):
@@ -304,26 +311,25 @@ class DagBuilder:
                 elif isinstance(dep, NarrowDependency):
                     stack.append(dep.parent)
 
-        seq = self._seq_counter
-        self._seq_counter += 1
+        seq = len(self._active)
 
         # Record reference-profile events for this stage execution.
         for r in cache_reads:
             prof = self._profile_for(r)
             prof.read_seqs.append(seq)
-            prof.read_jobs.append(skel.job_id)
-            prof.read_stage_ids.append(skel.id)
+            prof.read_jobs.append(job_id)
+            prof.read_stage_ids.append(stage_id)
         for r in cache_writes:
             prof = self._profile_for(r)
             if prof.created_seq < 0:
                 prof.created_seq = seq
-                prof.created_job = skel.job_id
-                prof.created_stage_id = skel.id
-            self._computed_cached[r.id] = seq
-        if skel.shuffle_dep is not None:
-            self._materialized_shuffles.add(skel.shuffle_dep.shuffle_id)
+                prof.created_job = job_id
+                prof.created_stage_id = stage_id
+            self._computed_cached.add(r.id)
+        if shuffle_dep is not None:
+            self._materialized_shuffles.add(shuffle_dep.shuffle_id)
 
-        num_tasks = skel.rdd.num_partitions
+        num_tasks = rdd.num_partitions
         total_cpu = sum(r.compute_cost * r.num_partitions for r in pipeline)
         # Deterministic ordering for reproducibility of downstream output.
         cache_reads.sort(key=lambda r: r.id)
@@ -331,13 +337,13 @@ class DagBuilder:
         shuffle_reads.sort(key=lambda d: d.shuffle_id)
         input_reads.sort(key=lambda r: r.id)
         return Stage(
-            id=skel.id,
-            job_id=skel.job_id,
+            id=stage_id,
+            job_id=job_id,
             seq=seq,
-            rdd=skel.rdd,
+            rdd=rdd,
             pipeline=tuple(sorted(pipeline, key=lambda r: r.id)),
-            shuffle_dep=skel.shuffle_dep,
-            parent_stage_ids=tuple(skel.parent_ids),
+            shuffle_dep=shuffle_dep,
+            parent_stage_ids=parent_ids,
             skipped=False,
             num_tasks=num_tasks,
             cache_reads=tuple(cache_reads),

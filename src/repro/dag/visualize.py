@@ -9,20 +9,27 @@ Two views, matching the paper's Figure 1:
 
 ``to_dot`` output renders with any Graphviz install; the networkx
 graphs support programmatic analysis (the property tests use them for
-acyclicity checks).
+acyclicity checks).  networkx is imported by the two graph builders
+only, so importing the library (and running simulations) never loads
+it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.dag.dag_builder import ApplicationDAG
-from repro.dag.rdd import NarrowDependency, RDD
+from repro.dag.rdd import NarrowDependency
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 
 def lineage_graph(dag: ApplicationDAG) -> nx.DiGraph:
     """RDD lineage as a directed graph (parent → child edges)."""
-    g = nx.DiGraph()
+    import networkx
+
+    g = networkx.DiGraph()
     for rdd in dag.app.rdds:
         g.add_node(
             rdd.id,
@@ -40,7 +47,9 @@ def lineage_graph(dag: ApplicationDAG) -> nx.DiGraph:
 
 def stage_graph(dag: ApplicationDAG) -> nx.DiGraph:
     """Stage dependency graph (parent stage → child stage)."""
-    g = nx.DiGraph()
+    import networkx
+
+    g = networkx.DiGraph()
     for stage in dag.stages:
         g.add_node(
             stage.id,

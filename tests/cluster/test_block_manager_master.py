@@ -60,6 +60,20 @@ class TestPurge:
         master.purge_rdd(1, drop_disk=True)
         assert not master.disk_contains(BlockId(1, 0))
 
+    def test_purge_on_one_node_drops_exactly_that_rdds_disk_blocks(self, cluster):
+        master = cluster.master
+        for p in range(6):
+            for rdd in (1, 2):
+                master.manager_for(BlockId(rdd, p)).insert_cached(blk(rdd, p))
+        disk = master.managers[0].node.disk
+        before = set(disk.block_ids())
+        master.purge_rdd_on(0, 1, drop_disk=True)
+        assert set(disk.block_ids()) == {b for b in before if b.rdd_id != 1}
+        assert {b.rdd_id for b in disk.block_ids()} == {2}
+        # The other nodes' copies of the purged RDD are untouched.
+        assert master.disk_contains(BlockId(1, 1))
+        assert master.disk_contains(BlockId(1, 2))
+
     def test_memory_contains(self, cluster):
         master = cluster.master
         master.manager_for(BlockId(1, 0)).insert_cached(blk(1, 0))

@@ -40,3 +40,30 @@ class TestDiskStore:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             DiskStore(0.0)
+
+
+class TestRemoveRdd:
+    def test_removes_exactly_that_rdds_blocks(self):
+        d = DiskStore(1000.0)
+        for part in range(3):
+            for rdd in (1, 2, 3):
+                d.put(blk(rdd, part))
+        assert d.remove_rdd(2) == 3
+        assert sorted(d.block_ids()) == [
+            BlockId(rdd, part) for rdd in (1, 3) for part in range(3)
+        ]
+        assert d.used_mb == pytest.approx(60.0)
+        assert d.remove_rdd(2) == 0
+
+    def test_index_follows_single_removes_and_re_puts(self):
+        d = DiskStore(1000.0)
+        for part in range(3):
+            d.put(blk(4, part))
+        d.remove(BlockId(4, 1))
+        d.put(blk(4, 1))
+        d.remove(BlockId(4, 0))
+        assert d.remove_rdd(4) == 2
+        assert len(d) == 0
+        assert d.used_mb == 0.0
+        d.put(blk(4, 0))
+        assert d.remove_rdd(4) == 1

@@ -1,19 +1,26 @@
-"""The DAG builder's stage skeletons: deep lineages and pinned output.
+"""The DAG builder against its executable reference, and pinned output.
 
-Stage creation walks each job's shuffle lineage parents-first.  The walk
-uses an explicit stack, so a lineage deeper than Python's recursion
-limit still builds, and it must yield exactly the stage ids, order and
-reference profiles of the recursive definition it replaced.
+Stage creation walks each job's shuffle lineage parents-first.  The
+builder's walk uses an explicit stack, so a lineage deeper than Python's
+recursion limit still builds, and it memoizes each RDD's shuffle
+frontier across jobs.  It must yield exactly the stage ids, order and
+reference profiles of :class:`_RecursiveBuilder`, the straightforward
+definition it replaced.
 """
 
 from __future__ import annotations
 
 import sys
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dag.context import SparkApplication, SparkContext
-from repro.dag.dag_builder import DagBuilder, _StageSkeleton, build_dag
+from repro.dag.dag_builder import ApplicationDAG, build_dag
+from repro.dag.rdd import NarrowDependency, RDD, ShuffleDependency
+from repro.dag.structures import Job, RddReferenceProfile, Stage
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload, workload_names
 from repro.workloads.synthetic import SyntheticConfig, generate_application
@@ -47,27 +54,181 @@ PINNED_DIGESTS = {
 }
 
 
-class _RecursiveBuilder(DagBuilder):
-    """The recursive skeleton walk, kept as the executable reference."""
+#: The sched-bound benchmark application (the engine benchmark's
+#: ``sched`` profile at 640 partitions, 432 jobs): ``seed -> digest``,
+#: pinned from the builder before it memoized shuffle frontiers.  About
+#: 10^5 stages, fewer than 1% of them active.
+SCHED_APP = SyntheticConfig(
+    num_jobs=432, cache_probability=0.05, reuse_probability=0.3, partitions=640
+)
+SCHED_DIGESTS = {7: "8275bce03c11a40d", 8: "e8365c64f209cb9c"}
 
-    def _build_job_skeletons(self, target, job_id):
+
+class _RecursiveBuilder:
+    """The DAG compile as first written: the executable reference.
+
+    Standalone on purpose (it shares only the output structures with
+    :mod:`repro.dag.dag_builder`): each job's stages are created by a
+    recursive walk that recomputes every stage's shuffle frontier, the
+    submitted stages are found by re-walking the job's stages, and every
+    stage is resolved in id order.
+    """
+
+    def __init__(self, app: SparkApplication) -> None:
+        self.app = app
+        self.stages: list[Stage] = []
+        self.skeletons: list[dict] = []
+        self.materialized: set[int] = set()
+        self.computed_cached: set[int] = set()
+        self.seq = 0
+        self.profiles: dict[int, RddReferenceProfile] = {}
+        self.unpersist_after = {ev.rdd.id: ev.after_job_id for ev in app.ctx.unpersist_events}
+        self.ever_cached = {r.id for r in app.ctx.cached_rdds}
+
+    def build(self) -> ApplicationDAG:
+        jobs = []
+        for spec in self.app.jobs:
+            first = len(self.skeletons)
+            result_id = self.create_job_skeletons(spec.target, spec.job_id)
+            new = self.skeletons[first:]
+            self.mark_active(result_id, spec.job_id)
+            self.stages.extend(self.resolve(skel) for skel in new)
+            jobs.append(Job(
+                id=spec.job_id, spec=spec,
+                stage_ids=tuple(s["id"] for s in new),
+                active_stage_ids=tuple(s["id"] for s in new if not s["skipped"]),
+            ))
+        for rdd_id, after in self.unpersist_after.items():
+            if rdd_id in self.profiles:
+                self.profiles[rdd_id].unpersist_after_job = after
+        active = sorted((s for s in self.stages if not s.skipped), key=lambda s: s.seq)
+        return ApplicationDAG(
+            app=self.app, jobs=jobs, stages=self.stages, active_stages=active,
+            profiles=self.profiles,
+        )
+
+    def create_job_skeletons(self, target: RDD, job_id: int) -> int:
         created: dict[object, int] = {}
 
         def create(rdd, shuffle_dep):
             key = shuffle_dep.shuffle_id if shuffle_dep else ("result", rdd.id)
             if key in created:
                 return created[key]
-            parent_deps = self._frontier_shuffle_deps(rdd, job_id, truncate=False)
+            parent_deps = self.frontier(rdd, job_id, truncate=False)
             parent_ids = [create(dep.parent, dep) for dep in parent_deps]
-            skel = _StageSkeleton(
-                id=len(self._skeletons), job_id=job_id, rdd=rdd,
-                shuffle_dep=shuffle_dep, parent_ids=parent_ids, skipped=True,
-            )
-            self._skeletons.append(skel)
-            created[key] = skel.id
-            return skel.id
+            skel = {
+                "id": len(self.skeletons), "job_id": job_id, "rdd": rdd,
+                "shuffle_dep": shuffle_dep, "parent_ids": parent_ids, "skipped": True,
+            }
+            self.skeletons.append(skel)
+            created[key] = skel["id"]
+            return skel["id"]
 
         return create(target, None)
+
+    def mark_active(self, result_id: int, job_id: int) -> None:
+        by_shuffle_id = {}
+        walk, seen = [result_id], set()
+        while walk:
+            sid = walk.pop()
+            if sid not in seen:
+                seen.add(sid)
+                skel = self.skeletons[sid]
+                if skel["shuffle_dep"] is not None:
+                    by_shuffle_id[skel["shuffle_dep"].shuffle_id] = skel
+                walk.extend(skel["parent_ids"])
+        stack, active = [result_id], set()
+        while stack:
+            sid = stack.pop()
+            if sid in active:
+                continue
+            active.add(sid)
+            skel = self.skeletons[sid]
+            skel["skipped"] = False
+            for dep in self.frontier(skel["rdd"], job_id, truncate=True):
+                if dep.shuffle_id not in self.materialized and dep.shuffle_id in by_shuffle_id:
+                    stack.append(by_shuffle_id[dep.shuffle_id]["id"])
+
+    def frontier(self, rdd: RDD, job_id: int, truncate: bool) -> list[ShuffleDependency]:
+        deps, seen, stack = [], set(), [rdd]
+        while stack:
+            r = stack.pop()
+            if r.id in seen:
+                continue
+            seen.add(r.id)
+            if truncate and r.id != rdd.id and self.cache_hit(r, job_id):
+                continue
+            for dep in r.deps:
+                if isinstance(dep, ShuffleDependency):
+                    deps.append(dep)
+                else:
+                    stack.append(dep.parent)
+        return sorted(deps, key=lambda d: d.shuffle_id)
+
+    def resolve(self, skel: dict) -> Stage:
+        rdd, job_id = skel["rdd"], skel["job_id"]
+        common = dict(
+            id=skel["id"], job_id=job_id, rdd=rdd, shuffle_dep=skel["shuffle_dep"],
+            parent_stage_ids=tuple(skel["parent_ids"]), num_tasks=rdd.num_partitions,
+        )
+        if skel["skipped"]:
+            return Stage(
+                seq=-1, pipeline=(), skipped=True, cache_reads=(), cache_writes=(),
+                shuffle_reads=(), input_reads=(), compute_cost_per_task=0.0, **common,
+            )
+        pipeline, reads, writes, shuffles, inputs = [], [], [], [], []
+        seen, stack = set(), [rdd]
+        while stack:
+            r = stack.pop()
+            if r.id in seen:
+                continue
+            seen.add(r.id)
+            if self.cache_hit(r, job_id):
+                reads.append(r)
+                continue
+            pipeline.append(r)
+            if r.is_input:
+                inputs.append(r)
+            if self.cached_in_job(r, job_id):
+                writes.append(r)
+            for dep in r.deps:
+                if isinstance(dep, ShuffleDependency):
+                    shuffles.append(dep)
+                elif isinstance(dep, NarrowDependency):
+                    stack.append(dep.parent)
+        seq, self.seq = self.seq, self.seq + 1
+        for r in reads:
+            prof = self.profiles.setdefault(r.id, RddReferenceProfile(rdd=r))
+            prof.read_seqs.append(seq)
+            prof.read_jobs.append(job_id)
+            prof.read_stage_ids.append(skel["id"])
+        for r in writes:
+            prof = self.profiles.setdefault(r.id, RddReferenceProfile(rdd=r))
+            if prof.created_seq < 0:
+                prof.created_seq, prof.created_job = seq, job_id
+                prof.created_stage_id = skel["id"]
+            self.computed_cached.add(r.id)
+        if skel["shuffle_dep"] is not None:
+            self.materialized.add(skel["shuffle_dep"].shuffle_id)
+        by_id = attrgetter("id")
+        cpu = sum(r.compute_cost * r.num_partitions for r in pipeline)
+        return Stage(
+            seq=seq, pipeline=tuple(sorted(pipeline, key=by_id)), skipped=False,
+            cache_reads=tuple(sorted(reads, key=by_id)),
+            cache_writes=tuple(sorted(writes, key=by_id)),
+            shuffle_reads=tuple(sorted(shuffles, key=lambda d: d.shuffle_id)),
+            input_reads=tuple(sorted(inputs, key=by_id)),
+            compute_cost_per_task=cpu / rdd.num_partitions, **common,
+        )
+
+    def cached_in_job(self, rdd: RDD, job_id: int) -> bool:
+        if rdd.id not in self.ever_cached:
+            return False
+        after = self.unpersist_after.get(rdd.id)
+        return after is None or job_id <= after
+
+    def cache_hit(self, rdd: RDD, job_id: int) -> bool:
+        return self.cached_in_job(rdd, job_id) and rdd.id in self.computed_cached
 
 
 def _shuffle_chain(depth: int) -> SparkApplication:
@@ -109,6 +270,28 @@ class TestMatchesRecursiveWalk:
             _RecursiveBuilder(generate_application(seed, config)).build()
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        num_jobs=st.integers(1, 24),
+        cache_probability=st.floats(0.0, 1.0),
+        reuse_probability=st.floats(0.0, 1.0),
+        unpersist_probability=st.floats(0.0, 1.0),
+        max_hops=st.integers(1, 5),
+    )
+    def test_random_synthetic_apps(
+        self, seed, num_jobs, cache_probability, reuse_probability,
+        unpersist_probability, max_hops,
+    ):
+        config = SyntheticConfig(
+            num_jobs=num_jobs, stages_per_job=(1, max_hops), partitions=4,
+            cache_probability=cache_probability, reuse_probability=reuse_probability,
+            unpersist_probability=unpersist_probability,
+        )
+        assert structural_digest(build_dag(generate_application(seed, config))) == (
+            structural_digest(_RecursiveBuilder(generate_application(seed, config)).build())
+        )
+
 
 class TestRegisteredWorkloadsUnchanged:
     def test_every_builtin_workload_is_pinned(self):
@@ -122,3 +305,10 @@ class TestRegisteredWorkloadsUnchanged:
         assert structural_digest(build_dag(spec.build(WorkloadParams()))) == default
         params = WorkloadParams(partitions=8, iterations=2)
         assert structural_digest(build_dag(spec.build(params))) == small
+
+
+class TestSchedAppUnchanged:
+    @pytest.mark.parametrize("seed", sorted(SCHED_DIGESTS))
+    def test_stage_order_and_profiles(self, seed):
+        dag = build_dag(generate_application(seed, SCHED_APP))
+        assert structural_digest(dag) == SCHED_DIGESTS[seed]

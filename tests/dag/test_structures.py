@@ -1,5 +1,9 @@
 """Direct unit tests for the compiled DAG structures."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.dag.context import SparkContext
@@ -7,6 +11,7 @@ from repro.dag.dag_builder import build_dag
 from repro.dag.context import SparkApplication
 from repro.dag.structures import RddReferenceProfile
 from tests.conftest import make_iterative_app
+from tests.dag.dag_digest import structural_digest
 
 
 @pytest.fixture
@@ -88,3 +93,32 @@ class TestCogroup:
         c.count()
         dag = build_dag(SparkApplication(ctx))
         assert dag.num_stages == 3  # two map-side stages + result
+
+
+class TestStageValue:
+    @pytest.fixture(scope="class")
+    def dag(self):
+        return build_dag(make_iterative_app(iterations=3))
+
+    def test_fields_cannot_be_assigned_or_deleted(self, dag):
+        stage = dag.stages[-1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stage.seq = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stage.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del stage.id
+        assert not hasattr(stage, "__dict__")
+
+    def test_copies_equal_the_original(self, dag):
+        for stage in dag.stages:
+            assert copy.copy(stage) == stage
+            clone = copy.deepcopy(stage)
+            assert (clone.id, clone.rdd.id, clone.parent_stage_ids) == (
+                stage.id, stage.rdd.id, stage.parent_stage_ids
+            )
+
+    def test_dag_survives_pickle(self, dag):
+        clone = pickle.loads(pickle.dumps(dag))
+        assert [type(s) for s in clone.stages] == [type(s) for s in dag.stages]
+        assert structural_digest(clone) == structural_digest(dag)

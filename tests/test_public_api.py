@@ -77,3 +77,30 @@ def test_version_matches_pyproject():
 
     pyproject = pathlib.Path(repro.__file__).parents[2] / "pyproject.toml"
     assert f'version = "{repro.__version__}"' in pyproject.read_text()
+
+
+#: Entry points that run simulations; none of them may need networkx,
+#: which only the DAG export graphs (``repro.dag.visualize``) use.
+SIMULATION_ENTRY_POINTS = [
+    "repro.simulator.engine",
+    "repro.experiments.fig4",
+    "repro.sweep.runner",
+    "repro.tenancy.engine",
+    "repro.cli",
+]
+
+
+def test_simulation_entry_points_import_without_networkx():
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); sys.modules['networkx'] = None; "
+        f"import {', '.join(SIMULATION_ENTRY_POINTS)}"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
