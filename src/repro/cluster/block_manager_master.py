@@ -193,8 +193,9 @@ class BlockManagerMaster:
                     if not memory.is_pinned(bid):
                         memory.remove(bid)
                         dropped += 1
-            for bid in [b for b in list(disk.block_ids()) if lo <= b.rdd_id < hi]:
-                disk.remove(bid)
+            for rdd_id in disk.rdd_ids():
+                if lo <= rdd_id < hi:
+                    disk.remove_rdd(rdd_id)
         return dropped
 
     def memory_contains(self, block_id: BlockId) -> bool:

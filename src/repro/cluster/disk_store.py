@@ -53,6 +53,10 @@ class DiskStore:
     def block_ids(self) -> Iterator[BlockId]:
         return iter(self._blocks)
 
+    def rdd_ids(self) -> list[int]:
+        """Rdd ids with at least one block on disk (first-write order)."""
+        return list(self._by_rdd)
+
     def put(self, block: Block) -> bool:
         """Store ``block``; returns False if the disk is full."""
         if block.id in self._blocks:

@@ -23,7 +23,8 @@ overhead for stores that never grow past the policies' batch-engagement
 thresholds.  A columnar store therefore starts with no arrays at all;
 the first batch selection calls :meth:`MemoryStore.ensure_columns`,
 which materializes the rows from the block dict, and incremental
-maintenance takes over from there.
+maintenance takes over from there.  numpy itself loads with the index:
+a run whose stores never engage a batch selection never imports it.
 
 The columns are an acceleration index only: every decision they feed is
 defined by — and tested byte-identical against — the object-based
@@ -37,11 +38,11 @@ from collections.abc import Iterator, Set as AbstractSet
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 from repro.cluster.block import Block, BlockId
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import numpy as np
+
     from repro.policies.base import EvictionPolicy
 
 #: Initial row capacity of the columnar arrays; doubled on demand.
@@ -181,14 +182,24 @@ class MemoryStore:
         cap = _INITIAL_CAPACITY
         while cap < len(self._blocks):
             cap *= 2
+        self._alloc_columns(cap)
+        self._cols_active = True
+        for block in self._blocks.values():
+            self._row_add(block)
+
+    def _alloc_columns(self, cap: int) -> None:
+        """Point the five columns at fresh zeroed arrays of ``cap`` rows.
+
+        The only place numpy is imported for the store: it loads when
+        the first batch selection builds the index, never on import.
+        """
+        import numpy as np
+
         self._col_rdd = np.zeros(cap, dtype=np.int64)
         self._col_part = np.zeros(cap, dtype=np.int64)
         self._col_size = np.zeros(cap, dtype=np.float64)
         self._col_key = np.zeros(cap, dtype=np.float64)
         self._col_aux = np.zeros(cap, dtype=np.float64)
-        self._cols_active = True
-        for block in self._blocks.values():
-            self._row_add(block)
 
     def columns(self) -> StoreColumns:
         """Dense views over the live rows; invalidated by inserts.
@@ -231,14 +242,12 @@ class MemoryStore:
             self._col_aux[row] = value
 
     def _grow(self) -> None:
-        cap = self._col_rdd.shape[0] * 2
-        for name in (
-            "_col_rdd", "_col_part", "_col_size", "_col_key", "_col_aux",
-        ):
-            old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
-            new[: old.shape[0]] = old
-            setattr(self, name, new)
+        names = ("_col_rdd", "_col_part", "_col_size", "_col_key", "_col_aux")
+        old = [getattr(self, name) for name in names]
+        n = old[0].shape[0]
+        self._alloc_columns(2 * n)
+        for name, column in zip(names, old, strict=True):
+            getattr(self, name)[:n] = column
 
     def _row_add(self, block: Block) -> None:
         row = len(self._row_ids)

@@ -26,7 +26,6 @@ from repro.dag.dag_builder import ApplicationDAG
 from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
 from repro.policies.lru import LruPolicy
 from repro.policies.scheme import CacheScheme, StageOrders
-from repro.policies.vectorized import select_block_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from collections.abc import Mapping
@@ -113,13 +112,15 @@ class PrefetchAwareLruPolicy(MrdTableView, LruPolicy):
             # manager and can drift without a broadcast to dirty the aux
             # column — only the object walk is safe.
             return BATCH_UNSUPPORTED
+        from repro.policies import vectorized
+
         st.ensure_columns()
         if self._aux_dirty:
             self._refresh_aux()
         cols = st.columns()
         # Primary: negated distance; id columns close the total order
         # mirroring ``_distance_key``'s ``(-dist, -part, -rdd)``.
-        return select_block_victims(
+        return vectorized.select_block_victims(
             st, cols, needed_mb, protect, cols.aux, (-cols.rdd, -cols.part)
         )
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.dag.analysis import distance_stats, workload_characteristics
 from repro.experiments import fig4
 from repro.experiments.harness import format_table
@@ -33,6 +31,8 @@ class CorrelationResult:
 
 def _linfit_r2(x: list[float], y: list[float]) -> tuple[float, float]:
     """Least-squares slope and R² of y against x."""
+    import numpy as np
+
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if len(xa) < 2 or np.allclose(xa, xa[0]):

@@ -219,6 +219,9 @@ class EvictionPolicy(abc.ABC):
         Policies with a key column override this to select victims via
         :mod:`repro.policies.vectorized`; the result must be
         byte-identical to :meth:`select_victims`'s reference walk.
+        Overrides import that module inside the call, so numpy loads
+        only once a batch selection runs, and look its functions up on
+        the module each call rather than binding them at import.
         Return :data:`BATCH_UNSUPPORTED` (the default) to fall back to
         the per-object path — e.g. when ``store`` is not the bound
         columnar store (a tenant view) or required keys are missing.

@@ -7,7 +7,6 @@ from collections.abc import Iterable, Iterator, Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
-from repro.policies.vectorized import select_block_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.block import Block, BlockId
@@ -102,11 +101,13 @@ class FifoPolicy(EvictionPolicy):
         st = self._store
         if st is None or st is not store:
             return BATCH_UNSUPPORTED
+        from repro.policies import vectorized
+
         st.ensure_columns()
         if not self._keys_valid:
             self._rebuild_keys()
         cols = st.columns()
         # Primary: arrival stamp (unique); id columns close the total order.
-        return select_block_victims(
+        return vectorized.select_block_victims(
             st, cols, needed_mb, protect, cols.key, (cols.part, cols.rdd)
         )

@@ -14,7 +14,6 @@ from collections.abc import Iterator, Set as AbstractSet
 from typing import TYPE_CHECKING
 
 from repro.policies.base import BATCH_UNSUPPORTED, BatchUnsupported, EvictionPolicy
-from repro.policies.vectorized import select_block_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.block import Block, BlockId
@@ -110,12 +109,14 @@ class LfuPolicy(EvictionPolicy):
         st = self._store
         if st is None or st is not store:
             return BATCH_UNSUPPORTED
+        from repro.policies import vectorized
+
         st.ensure_columns()
         if not self._keys_valid:
             self._rebuild_keys()
         cols = st.columns()
         # Primary: frequency; ties broken by touch stamp (unique), with
         # the id columns closing the total order as the contract asks.
-        return select_block_victims(
+        return vectorized.select_block_victims(
             st, cols, needed_mb, protect, cols.key, (cols.part, cols.rdd, cols.aux)
         )

@@ -12,7 +12,6 @@ from repro.policies.base import (
     EvictionPolicy,
     walk_victims,
 )
-from repro.policies.vectorized import select_block_victims
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.block import Block, BlockId
@@ -132,11 +131,13 @@ class LruPolicy(EvictionPolicy):
         st = self._store
         if st is None or st is not store:
             return BATCH_UNSUPPORTED
+        from repro.policies import vectorized
+
         st.ensure_columns()
         if not self._keys_valid:
             self._rebuild_keys()
         cols = st.columns()
         # Primary: touch stamp (unique); id columns close the total order.
-        return select_block_victims(
+        return vectorized.select_block_victims(
             st, cols, needed_mb, protect, cols.key, (cols.part, cols.rdd)
         )

@@ -74,6 +74,37 @@ class TestPurge:
         assert master.disk_contains(BlockId(1, 1))
         assert master.disk_contains(BlockId(1, 2))
 
+    def test_range_drop_removes_exactly_the_range(self, cluster):
+        master = cluster.master
+
+        def in_range(bid):
+            return 2 <= bid.rdd_id < 4
+
+        # Rdds 2 and 3 are one finished app's range; 1 and 4 belong to
+        # other apps.  Quarter-MB sizes keep every sum exact.
+        for rdd in (1, 2, 3, 4):
+            for p in range(6):
+                master.manager_for(BlockId(rdd, p)).insert_cached(blk(rdd, p, 1.0 + rdd + p / 4))
+        # A disk-only block of the range, and one pinned in memory.
+        master.managers[0].node.disk.put(blk(3, 9, 7.5))
+        pinned = BlockId(2, 0)
+        master.manager_for(pinned).node.memory.pin(pinned)
+        memory_before = {b.id for b in master.cached_blocks()}
+        disks = [mgr.node.disk for mgr in master.managers]
+        disk_before = {bid for disk in disks for bid in disk.block_ids()}
+
+        dropped = master.drop_rdd_range(2, 4)
+
+        kept = {bid for bid in memory_before if not in_range(bid)}
+        assert {b.id for b in master.cached_blocks()} == kept | {pinned}
+        assert dropped == len(memory_before) - len(kept) - 1
+        assert {bid for disk in disks for bid in disk.block_ids()} == {
+            bid for bid in disk_before if not in_range(bid)
+        }
+        for disk in disks:
+            assert disk.used_mb == sum(disk.get(bid).size_mb for bid in disk.block_ids())
+            assert set(disk.rdd_ids()) == {1, 4}
+
     def test_memory_contains(self, cluster):
         master = cluster.master
         master.manager_for(BlockId(1, 0)).insert_cached(blk(1, 0))

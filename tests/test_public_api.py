@@ -79,8 +79,10 @@ def test_version_matches_pyproject():
     assert f'version = "{repro.__version__}"' in pyproject.read_text()
 
 
-#: Entry points that run simulations; none of them may need networkx,
-#: which only the DAG export graphs (``repro.dag.visualize``) use.
+#: Entry points that run simulations.  None of them may need networkx,
+#: which only the DAG export graphs (``repro.dag.visualize``) use, or
+#: numpy, which only the columnar batch selection and the Fig. 11/12
+#: fit use.
 SIMULATION_ENTRY_POINTS = [
     "repro.simulator.engine",
     "repro.experiments.fig4",
@@ -89,8 +91,26 @@ SIMULATION_ENTRY_POINTS = [
     "repro.cli",
 ]
 
+#: One small simulation per scheme whose stores stay below every batch
+#: threshold (LRU/FIFO 512 blocks, LFU 128), under cache pressure.
+_SMALL_RUNS = """
+import json
+from repro.experiments.harness import build_workload_dag, cache_mb_for
+from repro.simulator import TEST_CLUSTER, simulate
+from repro.simulator.reporting import metrics_to_dict
+from repro.sweep.schemes import resolve_scheme
 
-def test_simulation_entry_points_import_without_networkx():
+dag = build_workload_dag("KM", partitions=8)
+cluster = TEST_CLUSTER.with_cache(cache_mb_for(dag, 0.1, TEST_CLUSTER))
+print(json.dumps({
+    name: metrics_to_dict(simulate(dag, cluster, resolve_scheme(name).build()))
+    for name in ("LRU", "MRD")
+}))
+"""
+
+
+def test_simulation_entry_points_run_without_networkx_or_numpy():
+    import json
     import pathlib
     import subprocess
     import sys
@@ -98,9 +118,16 @@ def test_simulation_entry_points_import_without_networkx():
     import repro
 
     src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); sys.modules['networkx'] = None; "
-        f"import {', '.join(SIMULATION_ENTRY_POINTS)}"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+
+    def run(block: str) -> dict:
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); {block}"
+            f"import {', '.join(SIMULATION_ENTRY_POINTS)}\n{_SMALL_RUNS}"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    blocked = run("sys.modules['networkx'] = None; sys.modules['numpy'] = None; ")
+    assert blocked == run("")
+    assert blocked["LRU"]["evictions"] > 0 and blocked["MRD"]["evictions"] > 0
