@@ -6,8 +6,9 @@ Shows the full extension path a downstream user follows:
 1. write an RDD program (here: a two-phase ETL + training pipeline
    whose feature table is re-read with a long gap — the access pattern
    MRD handles and LRU/LRC do not);
-2. wrap it in a :class:`WorkloadSpec` so it composes with the sweep
-   harness exactly like the built-in SparkBench workloads;
+2. wrap it in a :class:`WorkloadSpec` and register it, so the sweep
+   harness finds it by name exactly like the built-in SparkBench
+   workloads;
 3. sweep cache sizes across the standard policy line-up and export the
    results to CSV/JSON with :mod:`repro.simulator.reporting`.
 
@@ -17,12 +18,13 @@ Run:  python examples/custom_workload.py
 import tempfile
 from pathlib import Path
 
-from repro.dag import SparkContext, build_dag
+from repro.dag import SparkContext
 from repro.experiments import STANDARD_SCHEMES, format_table, sweep_workload
 from repro.simulator import MAIN_CLUSTER
 from repro.simulator.reporting import save_comparison_csv
 from repro.workloads import WorkloadParams, WorkloadSpec
 from repro.workloads.base import iterations_or_default, scaled
+from repro.workloads.registry import register_workload
 
 
 def build_etl_train(ctx: SparkContext, params: WorkloadParams) -> None:
@@ -70,13 +72,13 @@ SPEC = WorkloadSpec(
 
 
 def main() -> None:
-    app = SPEC.build()
+    # replace=True keeps main() safe to run twice in one process.
+    register_workload(SPEC, replace=True)
     sweep = sweep_workload(
-        "ETL-Train",
+        SPEC.name,
         schemes=STANDARD_SCHEMES,
         cluster=MAIN_CLUSTER,
         cache_fractions=(0.25, 0.5),
-        dag=build_dag(app),
     )
     rows = []
     for fraction in sweep.fractions():

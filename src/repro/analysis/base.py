@@ -82,13 +82,6 @@ class ModuleContext:
             return self.from_imports.get(node.id) == (module, attr)
         return False
 
-    def enclosing_statement(self, node: ast.AST) -> ast.stmt:
-        """The smallest statement containing ``node``."""
-        current = node
-        while not isinstance(current, ast.stmt):
-            current = self.parents[current]
-        return current
-
     def ancestor_calls(self, node: ast.AST) -> Iterator[ast.Call]:
         """Call nodes on the parent chain, innermost first (statement-bounded)."""
         current = self.parents.get(node)
@@ -155,13 +148,6 @@ class ProjectRule(Rule):
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         """Yield findings over the whole analyzed module set."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    def finding_at(
-        self, module: ModuleContext, node: ast.AST, message: str
-    ) -> Finding:
-        """Alias of :meth:`Rule.finding` (explicit name for project rules)."""
-        return self.finding(module, node, message)
 
 
 #: Registry: rule id → rule instance (populated by :func:`register_rule`).

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.harness import format_table, sweep_workload
+from repro.experiments.harness import format_table, sweep_cells, sweep_result
 from repro.simulator.config import MAIN_CLUSTER
+from repro.sweep.runner import run_cells
 from repro.sweep.schemes import SchemeSpec
+from repro.sweep.spec import CellSpec
 from repro.workloads.registry import get_workload
 
 #: Iterable workloads the paper tripled (DT included to show no effect).
 FIG10_WORKLOADS: tuple[str, ...] = ("KM", "LogR", "SVM", "PR", "CC", "SVD++", "DT")
 FIG10_FRACTIONS: tuple[float, ...] = (0.25, 0.35, 0.5)
+_SCHEMES = {"LRU": SchemeSpec("LRU"), "MRD": SchemeSpec("MRD")}
 
 
 @dataclass(frozen=True)
@@ -33,27 +36,23 @@ class Fig10Row:
     hit_3x: float
 
 
-def run(
-    workloads: tuple[str, ...] = FIG10_WORKLOADS,
-    cache_fractions=FIG10_FRACTIONS,
-    jobs: int = 1,
-    store=None,
-) -> list[Fig10Row]:
-    schemes = {"LRU": SchemeSpec("LRU"), "MRD": SchemeSpec("MRD")}
+def _sweeps(name: str, cache_fractions) -> list[list[CellSpec]]:  # 1x and 3x iterations
+    spec = get_workload(name)
+    tripled = spec.default_iterations * (3 if spec.iterations_effective else 1)
+    return [
+        sweep_cells(name, _SCHEMES, MAIN_CLUSTER, cache_fractions, iterations=iterations)
+        for iterations in (None, tripled)
+    ]
+
+
+def cells(workloads=FIG10_WORKLOADS, cache_fractions=FIG10_FRACTIONS) -> list[CellSpec]:
+    return [c for w in workloads for sweep in _sweeps(w, cache_fractions) for c in sweep]
+
+
+def reduce(outcome, workloads=FIG10_WORKLOADS, cache_fractions=FIG10_FRACTIONS) -> list[Fig10Row]:
     rows: list[Fig10Row] = []
     for name in workloads:
-        spec = get_workload(name)
-        base_iters = spec.default_iterations
-        sweep1 = sweep_workload(
-            name, schemes=schemes, cluster=MAIN_CLUSTER,
-            cache_fractions=cache_fractions, jobs=jobs, store=store,
-        )
-        sweep3 = sweep_workload(
-            name, schemes=schemes, cluster=MAIN_CLUSTER,
-            cache_fractions=cache_fractions,
-            iterations=base_iters * 3 if spec.iterations_effective else base_iters,
-            jobs=jobs, store=store,
-        )
+        sweep1, sweep3 = (sweep_result(outcome, s) for s in _sweeps(name, cache_fractions))
         b1 = sweep1.best_fraction("MRD")
         b3 = sweep3.best_fraction("MRD")
         rows.append(
@@ -70,6 +69,16 @@ def run(
             )
         )
     return rows
+
+
+def run(
+    workloads: tuple[str, ...] = FIG10_WORKLOADS,
+    cache_fractions=FIG10_FRACTIONS,
+    jobs: int = 1,
+    store=None,
+) -> list[Fig10Row]:
+    grid = run_cells(cells(workloads, cache_fractions), jobs=jobs, store=store).raise_on_error()
+    return reduce(grid, workloads, cache_fractions)
 
 
 def render(rows: list[Fig10Row]) -> str:

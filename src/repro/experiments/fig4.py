@@ -18,11 +18,16 @@ from repro.experiments.harness import (
     DEFAULT_CACHE_FRACTIONS,
     SweepResult,
     format_table,
-    sweep_workload,
+    sweep_cells,
+    sweep_result,
 )
 from repro.simulator.config import MAIN_CLUSTER
+from repro.sweep.runner import run_cells
 from repro.sweep.schemes import SchemeSpec
+from repro.sweep.spec import CellSpec
 from repro.workloads.registry import SPARKBENCH_WORKLOADS
+
+FIG4_WORKLOADS: tuple[str, ...] = tuple(s.name for s in SPARKBENCH_WORKLOADS)
 
 FIG4_SCHEMES = {
     "LRU": SchemeSpec("LRU"),
@@ -51,26 +56,31 @@ class Fig4Row:
     paper_full: float | None
 
 
+def _sweep(name: str, cache_fractions, scale) -> list[CellSpec]:
+    return sweep_cells(name, FIG4_SCHEMES, MAIN_CLUSTER, cache_fractions, scale=scale)
+
+
+def cells(
+    workloads=FIG4_WORKLOADS, cache_fractions=DEFAULT_CACHE_FRACTIONS, scale=1.0
+) -> list[CellSpec]:
+    return [cell for w in workloads for cell in _sweep(w, cache_fractions, scale)]
+
+
+def reduce(
+    outcome, workloads=FIG4_WORKLOADS, cache_fractions=DEFAULT_CACHE_FRACTIONS, scale=1.0
+) -> list[Fig4Row]:
+    return [summarize(sweep_result(outcome, _sweep(w, cache_fractions, scale))) for w in workloads]
+
+
 def run(
-    workloads: tuple[str, ...] = tuple(s.name for s in SPARKBENCH_WORKLOADS),
+    workloads: tuple[str, ...] = FIG4_WORKLOADS,
     cache_fractions=DEFAULT_CACHE_FRACTIONS,
     scale: float = 1.0,
     jobs: int = 1,
     store=None,
 ) -> list[Fig4Row]:
-    rows: list[Fig4Row] = []
-    for name in workloads:
-        sweep = sweep_workload(
-            name,
-            schemes=FIG4_SCHEMES,
-            cluster=MAIN_CLUSTER,
-            cache_fractions=cache_fractions,
-            scale=scale,
-            jobs=jobs,
-            store=store,
-        )
-        rows.append(summarize(sweep))
-    return rows
+    grid = run_cells(cells(workloads, cache_fractions, scale), jobs=jobs, store=store)
+    return reduce(grid.raise_on_error(), workloads, cache_fractions, scale)
 
 
 def summarize(sweep: SweepResult) -> Fig4Row:

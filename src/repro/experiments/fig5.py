@@ -14,13 +14,17 @@ from dataclasses import dataclass
 from repro.experiments.harness import (
     DEFAULT_CACHE_FRACTIONS,
     format_table,
-    sweep_workload,
+    sweep_cells,
+    sweep_result,
 )
 from repro.simulator.config import LRC_CLUSTER
+from repro.sweep.runner import run_cells
 from repro.sweep.schemes import SchemeSpec
+from repro.sweep.spec import CellSpec
 
 #: Workloads shown in the paper's Fig. 5 comparison (dependency-rich set).
 FIG5_WORKLOADS: tuple[str, ...] = ("KM", "PR", "SVD++", "CC", "SCC", "PO", "LP", "MF")
+_SCHEMES = {"LRU": SchemeSpec("LRU"), "LRC": SchemeSpec("LRC"), "MRD": SchemeSpec("MRD")}
 
 
 @dataclass(frozen=True)
@@ -32,23 +36,17 @@ class Fig5Row:
     improvement_pct: float  # (1 - mrd/lrc) * 100
 
 
-def run(
-    workloads: tuple[str, ...] = FIG5_WORKLOADS,
-    cache_fractions=DEFAULT_CACHE_FRACTIONS,
-    jobs: int = 1,
-    store=None,
+def cells(workloads=FIG5_WORKLOADS, cache_fractions=DEFAULT_CACHE_FRACTIONS) -> list[CellSpec]:
+    sweeps = (sweep_cells(w, _SCHEMES, LRC_CLUSTER, cache_fractions) for w in workloads)
+    return [cell for sweep in sweeps for cell in sweep]
+
+
+def reduce(
+    outcome, workloads=FIG5_WORKLOADS, cache_fractions=DEFAULT_CACHE_FRACTIONS
 ) -> list[Fig5Row]:
     rows: list[Fig5Row] = []
-    schemes = {
-        "LRU": SchemeSpec("LRU"),
-        "LRC": SchemeSpec("LRC"),
-        "MRD": SchemeSpec("MRD"),
-    }
     for name in workloads:
-        sweep = sweep_workload(
-            name, schemes=schemes, cluster=LRC_CLUSTER,
-            cache_fractions=cache_fractions, jobs=jobs, store=store,
-        )
+        sweep = sweep_result(outcome, sweep_cells(name, _SCHEMES, LRC_CLUSTER, cache_fractions))
         # "Taking the best values from their experiments and ours": the
         # best absolute JCT each policy achieves over the cache sweep.
         best_lrc = min(sweep.fractions(), key=lambda f: sweep.get("LRC", f).jct)
@@ -68,6 +66,16 @@ def run(
             )
         )
     return rows
+
+
+def run(
+    workloads: tuple[str, ...] = FIG5_WORKLOADS,
+    cache_fractions=DEFAULT_CACHE_FRACTIONS,
+    jobs: int = 1,
+    store=None,
+) -> list[Fig5Row]:
+    grid = run_cells(cells(workloads, cache_fractions), jobs=jobs, store=store).raise_on_error()
+    return reduce(grid, workloads, cache_fractions)
 
 
 def render(rows: list[Fig5Row]) -> str:

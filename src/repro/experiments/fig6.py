@@ -14,13 +14,17 @@ from dataclasses import dataclass
 from repro.experiments.harness import (
     DEFAULT_CACHE_FRACTIONS,
     format_table,
-    sweep_workload,
+    sweep_cells,
+    sweep_result,
 )
 from repro.simulator.config import MEMTUNE_CLUSTER
+from repro.sweep.runner import run_cells
 from repro.sweep.schemes import SchemeSpec
+from repro.sweep.spec import CellSpec
 
 #: Workloads shown in the paper's Fig. 6 comparison.
 FIG6_WORKLOADS: tuple[str, ...] = ("PR", "LogR", "KM", "CC", "SVD++", "PO", "LP", "TC")
+_SCHEMES = {"LRU": SchemeSpec("LRU"), "MemTune": SchemeSpec("MemTune"), "MRD": SchemeSpec("MRD")}
 
 
 @dataclass(frozen=True)
@@ -32,23 +36,17 @@ class Fig6Row:
     improvement_pct: float
 
 
-def run(
-    workloads: tuple[str, ...] = FIG6_WORKLOADS,
-    cache_fractions=DEFAULT_CACHE_FRACTIONS,
-    jobs: int = 1,
-    store=None,
+def cells(workloads=FIG6_WORKLOADS, cache_fractions=DEFAULT_CACHE_FRACTIONS) -> list[CellSpec]:
+    sweeps = (sweep_cells(w, _SCHEMES, MEMTUNE_CLUSTER, cache_fractions) for w in workloads)
+    return [cell for sweep in sweeps for cell in sweep]
+
+
+def reduce(
+    outcome, workloads=FIG6_WORKLOADS, cache_fractions=DEFAULT_CACHE_FRACTIONS
 ) -> list[Fig6Row]:
     rows: list[Fig6Row] = []
-    schemes = {
-        "LRU": SchemeSpec("LRU"),
-        "MemTune": SchemeSpec("MemTune"),
-        "MRD": SchemeSpec("MRD"),
-    }
     for name in workloads:
-        sweep = sweep_workload(
-            name, schemes=schemes, cluster=MEMTUNE_CLUSTER,
-            cache_fractions=cache_fractions, jobs=jobs, store=store,
-        )
+        sweep = sweep_result(outcome, sweep_cells(name, _SCHEMES, MEMTUNE_CLUSTER, cache_fractions))
         # Best absolute JCT per policy over the sweep ("best values from
         # their experiments and ours").
         best_mt = min(sweep.fractions(), key=lambda f: sweep.get("MemTune", f).jct)
@@ -64,6 +62,16 @@ def run(
             )
         )
     return rows
+
+
+def run(
+    workloads: tuple[str, ...] = FIG6_WORKLOADS,
+    cache_fractions=DEFAULT_CACHE_FRACTIONS,
+    jobs: int = 1,
+    store=None,
+) -> list[Fig6Row]:
+    grid = run_cells(cells(workloads, cache_fractions), jobs=jobs, store=store).raise_on_error()
+    return reduce(grid, workloads, cache_fractions)
 
 
 def render(rows: list[Fig6Row]) -> str:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.harness import format_table, sweep_workload
+from repro.experiments.harness import format_table, sweep_cells, sweep_result
 from repro.simulator.config import LRC_CLUSTER
+from repro.sweep.runner import run_cells
 from repro.sweep.schemes import SchemeSpec
+from repro.sweep.spec import CellSpec
 
 FIG7_FRACTIONS: tuple[float, ...] = (0.1, 0.2, 0.3, 0.45, 0.6, 0.8, 1.0)
+_SCHEMES = {"LRU": SchemeSpec("LRU"), "LRC": SchemeSpec("LRC"), "MRD": SchemeSpec("MRD")}
 
 
 @dataclass
@@ -30,26 +33,16 @@ class Fig7Result:
     cache_to_reach_target: dict[str, float | None] = field(default_factory=dict)
 
 
-def run(
-    workload: str = "SVD++",
-    fractions=FIG7_FRACTIONS,
-    target_hit: float = 0.6,
-    jobs: int = 1,
-    store=None,
-) -> Fig7Result:
-    schemes = {
-        "LRU": SchemeSpec("LRU"),
-        "LRC": SchemeSpec("LRC"),
-        "MRD": SchemeSpec("MRD"),
-    }
-    sweep = sweep_workload(
-        workload, schemes=schemes, cluster=LRC_CLUSTER,
-        cache_fractions=fractions, jobs=jobs, store=store,
-    )
+def cells(workload: str = "SVD++", fractions=FIG7_FRACTIONS) -> list[CellSpec]:
+    return sweep_cells(workload, _SCHEMES, LRC_CLUSTER, fractions)
+
+
+def reduce(outcome, workload="SVD++", fractions=FIG7_FRACTIONS, target_hit=0.6) -> Fig7Result:
+    sweep = sweep_result(outcome, sweep_cells(workload, _SCHEMES, LRC_CLUSTER, fractions))
     result = Fig7Result(workload=workload, target_hit=target_hit)
     result.fractions = list(fractions)
     result.cache_mb = [sweep.get("LRU", f).cache_mb_per_node for f in fractions]
-    for name in schemes:
+    for name in _SCHEMES:
         result.jct[name] = [sweep.get(name, f).jct for f in fractions]
         result.hit[name] = [sweep.get(name, f).hit_ratio for f in fractions]
         # Smallest cache size reaching the target hit ratio.
@@ -60,6 +53,17 @@ def run(
                 break
         result.cache_to_reach_target[name] = reached
     return result
+
+
+def run(
+    workload: str = "SVD++",
+    fractions=FIG7_FRACTIONS,
+    target_hit: float = 0.6,
+    jobs: int = 1,
+    store=None,
+) -> Fig7Result:
+    grid = run_cells(cells(workload, fractions), jobs=jobs, store=store).raise_on_error()
+    return reduce(grid, workload, fractions, target_hit)
 
 
 def cache_savings_pct(result: Fig7Result, better: str = "MRD", baseline: str = "LRU") -> float | None:

@@ -11,12 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.harness import format_table, sweep_workload
+from repro.experiments.harness import format_table, sweep_cells, sweep_result
 from repro.simulator.config import MAIN_CLUSTER
+from repro.sweep.runner import run_cells
 from repro.sweep.schemes import SchemeSpec
+from repro.sweep.spec import CellSpec
 
 FIG8_WORKLOADS: tuple[str, ...] = ("LP", "KM")
 FIG8_FRACTIONS: tuple[float, ...] = (0.25, 0.35, 0.5)
+_SCHEMES = {
+    "LRU": SchemeSpec("LRU"),
+    "MRD-stage": SchemeSpec("MRD", metric="stage"),
+    "MRD-job": SchemeSpec("MRD", metric="job"),
+}
 
 
 @dataclass(frozen=True)
@@ -29,23 +36,15 @@ class Fig8Row:
     job_metric_hit: float
 
 
-def run(
-    workloads: tuple[str, ...] = FIG8_WORKLOADS,
-    cache_fractions=FIG8_FRACTIONS,
-    jobs: int = 1,
-    store=None,
-) -> list[Fig8Row]:
-    schemes = {
-        "LRU": SchemeSpec("LRU"),
-        "MRD-stage": SchemeSpec("MRD", metric="stage"),
-        "MRD-job": SchemeSpec("MRD", metric="job"),
-    }
+def cells(workloads=FIG8_WORKLOADS, cache_fractions=FIG8_FRACTIONS) -> list[CellSpec]:
+    sweeps = (sweep_cells(w, _SCHEMES, MAIN_CLUSTER, cache_fractions) for w in workloads)
+    return [cell for sweep in sweeps for cell in sweep]
+
+
+def reduce(outcome, workloads=FIG8_WORKLOADS, cache_fractions=FIG8_FRACTIONS) -> list[Fig8Row]:
     rows: list[Fig8Row] = []
     for name in workloads:
-        sweep = sweep_workload(
-            name, schemes=schemes, cluster=MAIN_CLUSTER,
-            cache_fractions=cache_fractions, jobs=jobs, store=store,
-        )
+        sweep = sweep_result(outcome, sweep_cells(name, _SCHEMES, MAIN_CLUSTER, cache_fractions))
         best = min(
             sweep.fractions(), key=lambda f: sweep.normalized_jct("MRD-stage", f)
         )
@@ -61,6 +60,16 @@ def run(
             )
         )
     return rows
+
+
+def run(
+    workloads: tuple[str, ...] = FIG8_WORKLOADS,
+    cache_fractions=FIG8_FRACTIONS,
+    jobs: int = 1,
+    store=None,
+) -> list[Fig8Row]:
+    grid = run_cells(cells(workloads, cache_fractions), jobs=jobs, store=store).raise_on_error()
+    return reduce(grid, workloads, cache_fractions)
 
 
 def render(rows: list[Fig8Row]) -> str:

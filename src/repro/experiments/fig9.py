@@ -12,12 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.harness import format_table, sweep_workload
+from repro.experiments.harness import format_table, sweep_cells, sweep_result
 from repro.simulator.config import MAIN_CLUSTER
+from repro.sweep.runner import run_cells
 from repro.sweep.schemes import SchemeSpec
+from repro.sweep.spec import CellSpec
 
 FIG9_WORKLOADS: tuple[str, ...] = ("KM", "TC")
 FIG9_FRACTIONS: tuple[float, ...] = (0.35, 0.5, 0.7)
+_SCHEMES = {
+    "LRU": SchemeSpec("LRU"),
+    "MRD-recurring": SchemeSpec("MRD", mode="recurring"),
+    "MRD-adhoc": SchemeSpec("MRD", mode="adhoc"),
+}
 
 
 @dataclass(frozen=True)
@@ -31,23 +38,15 @@ class Fig9Row:
     adhoc_hit: float
 
 
-def run(
-    workloads: tuple[str, ...] = FIG9_WORKLOADS,
-    cache_fractions=FIG9_FRACTIONS,
-    jobs: int = 1,
-    store=None,
-) -> list[Fig9Row]:
-    schemes = {
-        "LRU": SchemeSpec("LRU"),
-        "MRD-recurring": SchemeSpec("MRD", mode="recurring"),
-        "MRD-adhoc": SchemeSpec("MRD", mode="adhoc"),
-    }
+def cells(workloads=FIG9_WORKLOADS, cache_fractions=FIG9_FRACTIONS) -> list[CellSpec]:
+    sweeps = (sweep_cells(w, _SCHEMES, MAIN_CLUSTER, cache_fractions) for w in workloads)
+    return [cell for sweep in sweeps for cell in sweep]
+
+
+def reduce(outcome, workloads=FIG9_WORKLOADS, cache_fractions=FIG9_FRACTIONS) -> list[Fig9Row]:
     rows: list[Fig9Row] = []
     for name in workloads:
-        sweep = sweep_workload(
-            name, schemes=schemes, cluster=MAIN_CLUSTER,
-            cache_fractions=cache_fractions, jobs=jobs, store=store,
-        )
+        sweep = sweep_result(outcome, sweep_cells(name, _SCHEMES, MAIN_CLUSTER, cache_fractions))
         best = min(
             sweep.fractions(), key=lambda f: sweep.normalized_jct("MRD-recurring", f)
         )
@@ -65,6 +64,16 @@ def run(
             )
         )
     return rows
+
+
+def run(
+    workloads: tuple[str, ...] = FIG9_WORKLOADS,
+    cache_fractions=FIG9_FRACTIONS,
+    jobs: int = 1,
+    store=None,
+) -> list[Fig9Row]:
+    grid = run_cells(cells(workloads, cache_fractions), jobs=jobs, store=store).raise_on_error()
+    return reduce(grid, workloads, cache_fractions)
 
 
 def render(rows: list[Fig9Row]) -> str:

@@ -1,44 +1,38 @@
 """Shared experiment harness.
 
-Every figure/table driver follows the same pattern: build a workload
-DAG once, size the cluster cache as a fraction of the workload's peak
-live cached footprint (the paper's ``spark.executor.memory`` sweeps),
-run it under several cache-management schemes, and normalize Job
-Completion Times against the LRU baseline.  This module provides those
-building blocks plus plain-text table rendering used by the benchmark
-scripts and EXPERIMENTS.md.
+Every figure/table driver follows the same pattern: size the cluster
+cache as a fraction of each workload's peak live cached footprint (the
+paper's ``spark.executor.memory`` sweeps), run the workload under
+several cache-management schemes, and normalize Job Completion Times
+against the LRU baseline.  This module provides those building blocks
+plus plain-text table rendering used by the benchmark scripts and
+EXPERIMENTS.md.
 
-:func:`sweep_workload` executes its grid through the parallel sweep
-runner (``repro.sweep``) whenever it can: pass ``jobs=N`` to fan cells
-out across worker processes and ``store=`` to make the sweep resumable
-and cached.  Results are bit-identical at any job count.  Scheme dicts
-may map labels to :class:`~repro.sweep.schemes.SchemeSpec` values (the
-standard line-ups do), registry names, or — for ad-hoc experiments —
-arbitrary zero-argument factories, which still run on the in-process
-serial path since they cannot cross a process boundary.
+Every sweep is a grid of cells run by ``repro.sweep.runner.run_cells``
+(in-process at ``jobs=1``; bit-identical at any job count; resumable
+with a ``store``).  :func:`sweep_cells` lists one workload's cells and
+:func:`sweep_result` reads them back from an outcome, so a driver can
+run several sweeps as one grid.  Cells are plain data: schemes are
+``SchemeSpec`` values or names, and the cluster is a ``CLUSTERS`` preset.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import ClusterConfig
 from repro.dag.analysis import peak_live_cached_mb
 from repro.dag.dag_builder import ApplicationDAG, build_dag
-from repro.policies.scheme import CacheScheme
 from repro.simulator.config import CLUSTERS, MAIN_CLUSTER
-from repro.simulator.engine import simulate
 from repro.simulator.metrics import RunMetrics
-from repro.sweep.schemes import SchemeSpec, maybe_resolve_scheme
+from repro.sweep.schemes import SchemeLike, SchemeSpec, resolve_scheme
+# MIN_CACHE_MB is re-exported: callers read the sizing floor from here too.
+from repro.sweep.spec import MIN_CACHE_MB, CellSpec, cache_mb_per_node  # noqa: F401
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload
 
-SchemeFactory = Callable[[], CacheScheme]
-SchemeLike = SchemeFactory | SchemeSpec | str
-
-#: The scheme line-up most experiments compare (fresh instance per run;
-#: every entry is a picklable SchemeSpec, so sweeps parallelize).
+#: The scheme line-up most experiments compare.
 STANDARD_SCHEMES: dict[str, SchemeLike] = {
     "LRU": SchemeSpec("LRU"),
     "LRC": SchemeSpec("LRC"),
@@ -51,9 +45,6 @@ STANDARD_SCHEMES: dict[str, SchemeLike] = {
 
 #: Cache sizes swept per workload, as fractions of peak live cached MB.
 DEFAULT_CACHE_FRACTIONS: tuple[float, ...] = (0.08, 0.15, 0.25, 0.35, 0.5, 0.7)
-
-#: Minimum per-node cache so a single block always fits.
-MIN_CACHE_MB = 8.0
 
 
 @dataclass(frozen=True)
@@ -116,8 +107,7 @@ class SweepResult:
 
 def cache_mb_for(dag: ApplicationDAG, fraction: float, cluster: ClusterConfig) -> float:
     """Per-node cache size for a given fraction of the peak live set."""
-    peak = peak_live_cached_mb(dag)
-    return max(peak * fraction / cluster.num_nodes, MIN_CACHE_MB)
+    return cache_mb_per_node(peak_live_cached_mb(dag), fraction, cluster.num_nodes)
 
 
 def build_workload_dag(
@@ -135,10 +125,57 @@ def build_workload_dag(
     return build_dag(get_workload(workload).build(params))
 
 
-def _preset_name(cluster: ClusterConfig) -> str | None:
-    """Registry name of ``cluster`` if it *is* a preset, else ``None``."""
-    preset = CLUSTERS.get(cluster.name)
-    return cluster.name if preset == cluster else None
+def sweep_cells(
+    workload: str,
+    schemes: dict[str, SchemeLike] | None = None,
+    cluster: ClusterConfig = MAIN_CLUSTER,
+    cache_fractions: Sequence[float] = DEFAULT_CACHE_FRACTIONS,
+    scale: float = 1.0,
+    iterations: int | None = None,
+    partitions: int | None = None,
+) -> list[CellSpec]:
+    """One workload's grid: a cell per cache fraction × scheme label.
+
+    A live scheme factory or a cluster that is not a ``CLUSTERS`` preset
+    cannot be described to a worker, and raises ``ValueError``.
+    """
+    if CLUSTERS.get(cluster.name) != cluster:
+        raise ValueError(
+            f"cluster {cluster.name!r} is not a CLUSTERS preset; "
+            f"sweeps take one of {sorted(CLUSTERS)}"
+        )
+    specs = {k: resolve_scheme(v) for k, v in (schemes or STANDARD_SCHEMES).items()}
+    return [
+        CellSpec(
+            workload=workload,
+            scheme=label,
+            scheme_spec=spec,
+            cluster=cluster.name,
+            cache_fraction=fraction,
+            scale=scale,
+            iterations=iterations,
+            partitions=partitions or WorkloadParams().partitions,
+        )
+        for fraction in cache_fractions
+        for label, spec in specs.items()
+    ]
+
+
+def sweep_result(outcome, cells: Sequence[CellSpec]) -> SweepResult:
+    """The :class:`SweepResult` of one :func:`sweep_cells` list, read from
+    an outcome that may hold a larger grid; compiles the workload DAG."""
+    first = cells[0]
+    dag = build_workload_dag(first.workload, first.scale, first.iterations, first.partitions)
+    result = SweepResult(
+        workload=first.workload, dag=dag, peak_live_mb=peak_live_cached_mb(dag)
+    )
+    for cell in cells:
+        metrics = outcome.metrics_for(cell)
+        result.runs.append(WorkloadRun(
+            workload=cell.workload, scheme=cell.scheme, cache_fraction=cell.cache_fraction or 0.0,
+            cache_mb_per_node=metrics.cache_mb_per_node, metrics=metrics,
+        ))
+    return result
 
 
 def sweep_workload(
@@ -146,95 +183,15 @@ def sweep_workload(
     schemes: dict[str, SchemeLike] | None = None,
     cluster: ClusterConfig = MAIN_CLUSTER,
     cache_fractions: Sequence[float] = DEFAULT_CACHE_FRACTIONS,
-    dag: ApplicationDAG | None = None,
     jobs: int = 1,
     store=None,
-    resume: bool = True,
     **build_kwargs,
 ) -> SweepResult:
-    """Run one workload under every scheme at every cache fraction.
+    """Run one workload under every scheme at every cache fraction."""
+    from repro.sweep.runner import run_cells
 
-    With ``jobs > 1`` or a result ``store``, the grid executes through
-    the parallel sweep runner (one process-shippable cell per
-    scheme × fraction, served from the store when unchanged); results
-    are bit-identical to the serial path.  The serial in-process path
-    is used when any scheme is a live factory, when a prebuilt ``dag``
-    is supplied, or when ``cluster`` is not a named preset — those
-    cannot be described to a worker process.
-    """
-    schemes = schemes or STANDARD_SCHEMES
-    resolved = {name: maybe_resolve_scheme(value) for name, value in schemes.items()}
-    preset = _preset_name(cluster)
-    use_runner = (
-        (jobs > 1 or store is not None)
-        and dag is None
-        and preset is not None
-        and all(spec is not None for spec in resolved.values())
-    )
-    if use_runner:
-        from repro.sweep.runner import run_cells
-        from repro.sweep.spec import CellSpec
-
-        params = WorkloadParams(
-            scale=build_kwargs.get("scale", 1.0),
-            iterations=build_kwargs.get("iterations"),
-            partitions=build_kwargs.get("partitions") or WorkloadParams().partitions,
-        )
-        cells = [
-            CellSpec(
-                workload=workload,
-                scheme=name,
-                scheme_spec=spec,
-                cluster=preset,
-                cache_fraction=fraction,
-                scale=params.scale,
-                iterations=params.iterations,
-                partitions=params.partitions,
-            )
-            for fraction in cache_fractions
-            for name, spec in resolved.items()
-        ]
-        outcome = run_cells(cells, jobs=jobs, store=store, resume=resume)
-        outcome.raise_on_error()
-        dag = build_workload_dag(workload, **build_kwargs)
-        result = SweepResult(
-            workload=workload, dag=dag, peak_live_mb=peak_live_cached_mb(dag)
-        )
-        for cell in cells:
-            metrics = outcome.metrics_for(cell)
-            result.runs.append(
-                WorkloadRun(
-                    workload=workload,
-                    scheme=cell.scheme,
-                    cache_fraction=cell.cache_fraction or 0.0,
-                    cache_mb_per_node=metrics.cache_mb_per_node,
-                    metrics=metrics,
-                )
-            )
-        return result
-
-    dag = dag if dag is not None else build_workload_dag(workload, **build_kwargs)
-    result = SweepResult(
-        workload=workload, dag=dag, peak_live_mb=peak_live_cached_mb(dag)
-    )
-    for fraction in cache_fractions:
-        cache_mb = cache_mb_for(dag, fraction, cluster)
-        config = cluster.with_cache(cache_mb)
-        for name, value in schemes.items():
-            spec = resolved[name]
-            scheme = spec.build() if spec is not None else value()  # type: ignore[operator]
-            metrics = simulate(dag, config, scheme)
-            metrics.scheme = name
-            result.runs.append(
-                WorkloadRun(
-                    workload=workload,
-                    scheme=name,
-                    cache_fraction=fraction,
-                    cache_mb_per_node=cache_mb,
-                    metrics=metrics,
-                )
-            )
-    return result
+    cells = sweep_cells(workload, schemes, cluster, cache_fractions, **build_kwargs)
+    return sweep_result(run_cells(cells, jobs=jobs, store=store).raise_on_error(), cells)
 
 
 # ----------------------------------------------------------------------

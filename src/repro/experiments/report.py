@@ -2,9 +2,9 @@
 
 ``python -m repro report [-o FILE]`` regenerates the complete
 evaluation section — all tables and figures plus the headline summary —
-from scratch.  Runtime is a couple of minutes (the Figure 4 sweep
-dominates); everything is deterministic, so two invocations produce
-identical reports.
+from scratch.  Figures 4–10 run as one grid (:func:`cells`) in one
+``run_cells`` call: one pool, one result store.  A report takes under
+20 s on one core; it is deterministic at any job count.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ from repro.experiments import (
     table1,
     table3,
 )
+from repro.sweep.progress import SweepProgress
+from repro.sweep.runner import run_cells
+from repro.sweep.spec import CellSpec
+
+
+def cells() -> list[CellSpec]:
+    """The report's grid: Figures 4–10's default cells, concatenated."""
+    return [c for fig in (fig4, fig5, fig6, fig7, fig8, fig9, fig10) for c in fig.cells()]
 
 
 def generate_report(
@@ -35,10 +43,10 @@ def generate_report(
 ) -> str:
     """Run the full evaluation; returns (and optionally writes) markdown.
 
-    ``jobs``/``store`` are forwarded to every sweep-backed driver: the
-    figures fan out across worker processes and, with a store, a rerun
-    after an interrupt (or a tweak to one figure) recomputes only the
-    missing cells.  Output is bit-identical at any job count.
+    ``jobs``/``store`` apply to the grid of Figures 4–10: with a store,
+    a rerun after an interrupt (or a tweak to one figure) recomputes
+    only the missing cells.  With ``progress``, each cell prints a line
+    to stderr and the grid's stats line follows.
     """
     buf = io.StringIO()
 
@@ -68,22 +76,19 @@ def generate_report(
         "\n\n".join(fig2.render(trace, p) for p in ("lru", "lrc", "mrd")),
     )
 
-    say("figure 4 (the long sweep) ...")
-    rows4 = fig4.run(jobs=jobs, store=store)
-    section("Figure 4 — overall performance", fig4.render(rows4))
+    outcome = run_cells(
+        cells(), jobs=jobs, store=store, progress=SweepProgress() if progress else None
+    ).raise_on_error()
+    say(outcome.stats_line())
 
-    say("figure 5 ...")
-    section("Figure 5 — vs LRC", fig5.render(fig5.run(jobs=jobs, store=store)))
-    say("figure 6 ...")
-    section("Figure 6 — vs MemTune", fig6.render(fig6.run(jobs=jobs, store=store)))
-    say("figure 7 ...")
-    section("Figure 7 — cache-size sweep (SVD++)", fig7.render(fig7.run(jobs=jobs, store=store)))
-    say("figure 8 ...")
-    section("Figure 8 — stage vs job distance", fig8.render(fig8.run(jobs=jobs, store=store)))
-    say("figure 9 ...")
-    section("Figure 9 — ad-hoc vs recurring", fig9.render(fig9.run(jobs=jobs, store=store)))
-    say("figure 10 ...")
-    section("Figure 10 — iteration scaling", fig10.render(fig10.run(jobs=jobs, store=store)))
+    rows4 = fig4.reduce(outcome)
+    section("Figure 4 — overall performance", fig4.render(rows4))
+    section("Figure 5 — vs LRC", fig5.render(fig5.reduce(outcome)))
+    section("Figure 6 — vs MemTune", fig6.render(fig6.reduce(outcome)))
+    section("Figure 7 — cache-size sweep (SVD++)", fig7.render(fig7.reduce(outcome)))
+    section("Figure 8 — stage vs job distance", fig8.render(fig8.reduce(outcome)))
+    section("Figure 9 — ad-hoc vs recurring", fig9.render(fig9.reduce(outcome)))
+    section("Figure 10 — iteration scaling", fig10.render(fig10.reduce(outcome)))
     say("figures 11-12 ...")
     section("Figures 11-12 — benefit predictors", fig11_12.render(fig11_12.run(rows4)))
 

@@ -84,9 +84,6 @@ class EvictionPolicy(abc.ABC):
     def eviction_order(self, store: MemoryStore) -> Iterable[BlockId]:
         """Blocks in the order they should be evicted (worst first)."""
 
-    def advance_stage(self, seq: int) -> None:
-        """The application moved to active stage ``seq`` (optional hook)."""
-
     def on_table_update(self, seq: int, distances: Mapping[int, float]) -> bool:
         """A driver distance-table broadcast reached this node.
 

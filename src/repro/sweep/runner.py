@@ -51,7 +51,7 @@ from repro.dag.dag_builder import ApplicationDAG
 from repro.simulator.config import CLUSTERS
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.reporting import metrics_to_dict
-from repro.sweep.spec import CellSpec
+from repro.sweep.spec import CellSpec, cache_mb_per_node
 from repro.sweep.store import STATUS_ERROR, STATUS_OK, CellResult, ResultStore
 from repro.workloads.base import WorkloadParams, WorkloadSpec
 
@@ -114,7 +114,6 @@ def _execute_cell(
     cell: CellSpec, profile_path: str | None, dags: DagMemo | None = None
 ) -> RunMetrics:
     """Run one cell to completion (pure function of the spec)."""
-    from repro.experiments.harness import MIN_CACHE_MB
     from repro.simulator.engine import simulate
 
     dag, peak_mb = _compiled_workload(cell, dags)
@@ -123,7 +122,7 @@ def _execute_cell(
         cache_mb = cell.cache_mb
     else:
         assert cell.cache_fraction is not None
-        cache_mb = max(peak_mb * cell.cache_fraction / cluster.num_nodes, MIN_CACHE_MB)
+        cache_mb = cache_mb_per_node(peak_mb, cell.cache_fraction, cluster.num_nodes)
     store = ProfileStore(path=Path(profile_path)) if profile_path else None
     scheme = cell.scheme_spec.build(profile_store=store)
     kwargs: dict = {"scheduler": cell.scheduler}
@@ -225,8 +224,9 @@ class SweepOutcome:
     def error_results(self) -> list[CellResult]:
         return [r for r in self.results if not r.ok]
 
-    def raise_on_error(self) -> None:
-        """Fail loudly when any cell errored (drivers that need all cells)."""
+    def raise_on_error(self) -> SweepOutcome:
+        """Fail loudly when any cell errored (drivers that need all cells);
+        returns the outcome, so a run and its check chain."""
         failed = self.error_results()
         if failed:
             lines = [
@@ -237,6 +237,7 @@ class SweepOutcome:
                 f"{len(failed)}/{len(self.results)} sweep cell(s) failed:\n"
                 + "\n".join(lines)
             )
+        return self
 
     def stats_line(self) -> str:
         """`16 cells: 12 computed, 4 cached, 0 errors in 3.2s`."""

@@ -7,12 +7,6 @@ carries a :class:`SchemeSpec` — a frozen, picklable description of which
 scheme to build and with which knobs — and the worker instantiates the
 scheme right before simulating.
 
-``SchemeSpec`` is also *callable* (``spec()`` builds a fresh scheme), so
-everywhere the experiment harness used to accept a zero-argument scheme
-factory it now accepts a ``SchemeSpec`` transparently; custom callables
-remain supported by the harness's serial path (see
-``repro.experiments.harness``).
-
 :data:`SCHEME_SPECS` is the one table of scheme names: the CLI, trace
 replay, grid specs and multi-tenant ``AppSpec`` all resolve through
 :func:`resolve_scheme`, which matches names in any case.  Names match
@@ -108,10 +102,6 @@ class SchemeSpec:
             profile_store=profile_store,
         )
 
-    def __call__(self) -> CacheScheme:
-        """Zero-argument factory protocol (harness compatibility)."""
-        return self.build()
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Canonical JSON form (MRD-only knobs dropped for other bases)."""
@@ -173,7 +163,10 @@ def resolve_scheme(value: SchemeLike) -> SchemeSpec:
         )
     if isinstance(value, dict):
         return SchemeSpec.from_dict(value)
-    raise ValueError(f"cannot resolve scheme from {type(value).__name__}")
+    raise ValueError(
+        f"cannot resolve scheme from {type(value).__name__}; "
+        "pass a SchemeSpec, a scheme name or a SchemeSpec dict"
+    )
 
 
 def resolve_scheme_mix(values: Iterable[SchemeLike]) -> tuple[SchemeSpec, ...]:
@@ -188,9 +181,3 @@ def resolve_scheme_mix(values: Iterable[SchemeLike]) -> tuple[SchemeSpec, ...]:
         raise ValueError("a scheme mix needs at least one scheme")
     return specs
 
-
-def maybe_resolve_scheme(value: object) -> SchemeSpec | None:
-    """Like :func:`resolve_scheme` but returns ``None`` for live factories."""
-    if isinstance(value, (SchemeSpec, str, dict)):
-        return resolve_scheme(value)
-    return None

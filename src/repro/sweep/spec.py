@@ -57,6 +57,15 @@ except ImportError:  # pragma: no cover - py3.10 fallback
 #: rebalance) joined the canonical form.
 FINGERPRINT_VERSION = 2
 
+#: Minimum per-node cache so a single block always fits.
+MIN_CACHE_MB = 8.0
+
+
+def cache_mb_per_node(peak_mb: float, fraction: float, num_nodes: int) -> float:
+    """The cache sizing rule: per-node MB for ``fraction`` of a peak live set."""
+    return max(peak_mb * fraction / num_nodes, MIN_CACHE_MB)
+
+
 #: Cluster-shape fields a spec may override per cell.
 CLUSTER_OVERRIDE_FIELDS = (
     "num_nodes",

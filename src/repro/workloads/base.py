@@ -83,9 +83,6 @@ class WorkloadSpec:
             raise RuntimeError(f"workload {self.name} recorded no jobs")
         return SparkApplication(ctx=ctx, signature=self.name)
 
-    def with_iterations(self, iterations: int) -> WorkloadParams:
-        return WorkloadParams(iterations=iterations)
-
 
 # ----------------------------------------------------------------------
 # shared structural patterns

@@ -45,13 +45,6 @@ class TestSweep:
         dag = build_workload_dag("SP", scale=0.001, partitions=4)
         assert cache_mb_for(dag, 0.01, TEST_CLUSTER) == MIN_CACHE_MB
 
-    def test_prebuilt_dag_reused(self, sweep):
-        again = sweep_workload(
-            "SP", schemes={"LRU": STANDARD_SCHEMES["LRU"]},
-            cluster=TEST_CLUSTER, cache_fractions=(0.3,), dag=sweep.dag,
-        )
-        assert again.dag is sweep.dag
-
 
 class TestFormatTable:
     def test_alignment_and_title(self):

@@ -1,36 +1,46 @@
-"""Smoke test for the markdown report generator (trimmed scope).
+"""The markdown report generator and the one grid behind it.
 
-The full report takes minutes (Figure 4 sweeps every workload), so the
-unit test patches the heavyweight drivers down to tiny scopes and
-checks the document structure; the real thing runs via
-``python -m repro report``.
+A full report takes 15–25 s, so the structure test trims
+every swept figure to a tiny grid (patching its ``cells`` and
+``reduce`` alike) and checks the document; the real thing runs via
+``python -m repro report``.  The full grid is pinned by listing its
+cells, without running them.
 """
 
-from repro.experiments import fig4, fig5, fig6, fig7, fig8, fig9, fig10
+import functools
+import hashlib
+
+from repro.experiments import fig4, fig5, fig6, fig7, fig8, fig9, fig10, report
 from repro.experiments.report import generate_report
+
+#: SHA-256 (first 16 hex chars) of the newline-joined sorted distinct
+#: fingerprints of the report's grid.
+PINNED_REPORT_GRID = "05b7e0993d3fce78"
+
+TRIMMED = {
+    fig4: dict(workloads=("SP",), cache_fractions=(0.4,)),
+    fig5: dict(workloads=("CC",), cache_fractions=(0.4,)),
+    fig6: dict(workloads=("PR",), cache_fractions=(0.4,)),
+    fig7: dict(fractions=(0.3, 0.8)),
+    fig8: dict(cache_fractions=(0.4,)),
+    fig9: dict(cache_fractions=(0.4,)),
+    fig10: dict(workloads=("CC",), cache_fractions=(0.4,)),
+}
 
 
 def test_report_structure(tmp_path, monkeypatch):
-    fig4_run = fig4.run
-    fig5_run, fig6_run, fig7_run = fig5.run, fig6.run, fig7.run
-    fig8_run, fig9_run, fig10_run = fig8.run, fig9.run, fig10.run
-    monkeypatch.setattr(
-        fig4, "run", lambda *a, **k: fig4_run(workloads=("SP",), cache_fractions=(0.4,))
-    )
-    monkeypatch.setattr(
-        fig5, "run", lambda *a, **k: fig5_run(workloads=("CC",), cache_fractions=(0.4,))
-    )
-    monkeypatch.setattr(
-        fig6, "run", lambda *a, **k: fig6_run(workloads=("PR",), cache_fractions=(0.4,))
-    )
-    monkeypatch.setattr(
-        fig7, "run", lambda *a, **k: fig7_run(fractions=(0.3, 0.8), target_hit=0.3)
-    )
-    monkeypatch.setattr(fig8, "run", lambda *a, **k: fig8_run(cache_fractions=(0.4,)))
-    monkeypatch.setattr(fig9, "run", lambda *a, **k: fig9_run(cache_fractions=(0.4,)))
-    monkeypatch.setattr(
-        fig10, "run", lambda *a, **k: fig10_run(workloads=("CC",), cache_fractions=(0.4,))
-    )
+    for figure, kwargs in TRIMMED.items():
+        monkeypatch.setattr(figure, "cells", functools.partial(figure.cells, **kwargs))
+        reduce_kwargs = dict(kwargs, target_hit=0.3) if figure is fig7 else kwargs
+        monkeypatch.setattr(figure, "reduce", functools.partial(figure.reduce, **reduce_kwargs))
+    calls = []
+    run_cells = report.run_cells
+
+    def counting_run_cells(cells, **kwargs):
+        calls.append(len(cells))
+        return run_cells(cells, **kwargs)
+
+    monkeypatch.setattr(report, "run_cells", counting_run_cells)
 
     out = tmp_path / "report.md"
     text = generate_report(out=out)
@@ -41,3 +51,13 @@ def test_report_structure(tmp_path, monkeypatch):
         "Figures 11-12", "Headline summary",
     ):
         assert heading in text, heading
+    # Figures 4-10 are one grid, run by one call.
+    assert calls == [len(report.cells())]
+
+
+def test_report_grid_is_pinned():
+    cells = report.cells()
+    distinct = sorted({cell.fingerprint() for cell in cells})
+    assert (len(cells), len(distinct)) == (765, 711)
+    digest = hashlib.sha256("\n".join(distinct).encode()).hexdigest()[:16]
+    assert digest == PINNED_REPORT_GRID

@@ -1,8 +1,11 @@
-"""sweep_workload / fig-driver routing through the parallel runner."""
+"""sweep_workload and the fig drivers on the sweep runner."""
 
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
+
+import pytest
 
 from repro.core.policy import MrdScheme
 from repro.experiments import fig_control_latency
@@ -28,9 +31,9 @@ def _runs(result):
 
 
 class TestSweepWorkloadRouting:
-    def test_parallel_matches_serial_bitwise(self, tmp_path):
-        serial = sweep_workload("SP", **_KWARGS)
-        parallel = sweep_workload("SP", jobs=2, store=tmp_path, **_KWARGS)
+    def test_parallel_matches_serial_bitwise(self):
+        serial = sweep_workload("SP", jobs=1, **_KWARGS)
+        parallel = sweep_workload("SP", jobs=2, **_KWARGS)
         assert _runs(parallel) == _runs(serial)
 
     def test_store_alone_routes_and_caches(self, tmp_path):
@@ -39,25 +42,23 @@ class TestSweepWorkloadRouting:
         again = sweep_workload("SP", store=tmp_path, **_KWARGS)
         assert _runs(again) == _runs(first)
 
-    def test_live_factories_fall_back_to_serial(self, tmp_path):
-        # A lambda cannot cross a process boundary; the harness must
-        # quietly run it in-process even when jobs/store are requested.
+    def test_live_factory_is_rejected(self, tmp_path):
+        # A lambda cannot be described to a worker process.
         schemes = {"custom": lambda: MrdScheme(prefetch=False)}
-        result = sweep_workload(
-            "SP", schemes=schemes, cluster=CLUSTERS["test"],
-            cache_fractions=(0.5,), partitions=8, jobs=2, store=tmp_path,
-        )
-        assert [r.scheme for r in result.runs] == ["custom"]
-        assert len(ResultStore(tmp_path)) == 0  # nothing was farmed out
+        with pytest.raises(ValueError, match="SchemeSpec, a scheme name"):
+            sweep_workload(
+                "SP", schemes=schemes, cluster=CLUSTERS["test"],
+                cache_fractions=(0.5,), partitions=8, store=tmp_path,
+            )
+        assert len(ResultStore(tmp_path)) == 0
 
-    def test_prebuilt_dag_falls_back_to_serial(self, tmp_path):
-        from repro.experiments.harness import build_workload_dag
-
-        dag = build_workload_dag("SP", partitions=8)
-        result = sweep_workload(
-            "SP", dag=dag, jobs=2, store=tmp_path, **_KWARGS
-        )
-        assert result.dag is dag
+    def test_non_preset_cluster_is_rejected(self, tmp_path):
+        cluster = replace(CLUSTERS["test"], num_nodes=3)
+        with pytest.raises(ValueError, match="not a CLUSTERS preset"):
+            sweep_workload(
+                "SP", schemes=_SCHEMES, cluster=cluster,
+                cache_fractions=(0.5,), partitions=8, store=tmp_path,
+            )
         assert len(ResultStore(tmp_path)) == 0
 
     def test_scheme_labels_survive_the_runner(self, tmp_path):

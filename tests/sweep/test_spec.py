@@ -35,9 +35,9 @@ class TestSchemeSpec:
         with pytest.raises(ValueError, match="evict/prefetch"):
             SchemeSpec("MRD", evict=False, prefetch=False)
 
-    def test_callable_builds_fresh_instances(self):
+    def test_build_makes_fresh_instances(self):
         spec = SchemeSpec("MRD")
-        a, b = spec(), spec()
+        a, b = spec.build(), spec.build()
         assert a is not b
         assert a.name == "MRD"
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.app_profiler import ProfileStore
 from repro.core.policy import MrdScheme
 from repro.dag.dag_builder import build_dag
-from repro.experiments.harness import sweep_workload
+from repro.experiments.harness import cache_mb_for
 from repro.policies.scheme import LruScheme
 from repro.simulator.config import TEST_CLUSTER
 from repro.simulator.engine import simulate
@@ -195,35 +195,32 @@ def test_register_requires_replace_flag():
 
 
 def test_fig9_style_recurring_sweep_from_ingested_profile(tmp_path):
-    """The fig9 harness can consume a profile derived from an event log.
+    """A recurring MRD run can consume a profile derived from an event log.
 
     An ingested trace's profile is persisted to a store; a recurring-mode
-    MRD scheme sharing that store then sweeps the ingested DAG through
-    the standard harness — the paper's recurring-application experiment
-    with a real (well, fixture) event log as the source.
+    MRD scheme sharing that store then runs the ingested DAG at two cache
+    fractions — the paper's recurring-application experiment with a real
+    (well, fixture) event log as the source.  One pre-fed store serves
+    both runs, which sweep cells (each with its own store) cannot do, so
+    this calls ``simulate`` directly.
     """
     store = ProfileStore(tmp_path / "profiles.json")
     trace = ingest_eventlog(ITERATIVE)
     profile_from_trace(trace, store=store)
 
-    sweep = sweep_workload(
-        trace.app_name,
-        schemes={
-            "LRU": LruScheme,
-            "MRD-recurring": lambda: MrdScheme(
-                mode="recurring", profile_store=store
-            ),
-        },
-        cluster=TEST_CLUSTER,
-        cache_fractions=(0.5, 1.0),
-        dag=trace.dag,
-    )
-    for fraction in (0.5, 1.0):
-        run = sweep.get("MRD-recurring", fraction)
-        assert run.metrics.jct > 0
+    runs = {
+        fraction: simulate(
+            trace.dag,
+            TEST_CLUSTER.with_cache(cache_mb_for(trace.dag, fraction, TEST_CLUSTER)),
+            MrdScheme(mode="recurring", profile_store=store),
+        )
+        for fraction in (0.5, 1.0)
+    }
+    for metrics in runs.values():
+        assert metrics.jct > 0
     # With the whole working set cacheable the recurring profile keeps
     # the re-read training set resident.
-    assert sweep.get("MRD-recurring", 1.0).hit_ratio == 1.0
+    assert runs[1.0].hit_ratio == 1.0
 
 
 def test_replay_profile_store_prefeeds_mrd():
