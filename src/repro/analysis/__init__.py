@@ -29,9 +29,6 @@ rules consume:
 * :mod:`repro.analysis.event_rules` — trace-event schema drift (EVT301);
 * :mod:`repro.analysis.suppressions` — ``# repro: noqa[RULE]`` line and
   ``# repro: noqa-file[RULE]`` file suppressions;
-* :mod:`repro.analysis.baseline` — grandfathered-finding baselines
-  (path- and content-hash-keyed) so the gate can be adopted
-  incrementally;
 * :mod:`repro.analysis.changed` — git-diff-scoped runs for pre-commit;
 * :mod:`repro.analysis.runner` / :mod:`repro.analysis.reporters` — file
   collection, rule execution and text/JSON/GitHub-annotation output;
@@ -50,13 +47,11 @@ from repro.analysis.base import (
     get_rule,
     register_rule,
 )
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.runner import LintConfig, LintResult, lint_paths
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "LintResult",

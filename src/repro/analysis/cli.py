@@ -12,7 +12,6 @@ import sys
 from collections.abc import Sequence
 
 from repro.analysis.base import all_rules
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.changed import resolve_changed_paths
 from repro.analysis.reporters import render_github, render_json, render_text
 from repro.analysis.runner import LintConfig, lint_paths
@@ -38,15 +37,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--changed-base", default=None, metavar="REF",
         help="comparison ref for --changed (default: the branch upstream, "
              "then origin/main)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file of grandfathered findings; only findings "
-             "beyond it fail (a missing file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
     )
     parser.add_argument(
         "--select", default=None, metavar="RULES",
@@ -82,13 +72,6 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"{rule.id}  {rule.title}  [{scope}]")
         return 0
 
-    if args.write_baseline and not args.baseline:
-        raise SystemExit("--write-baseline requires --baseline PATH")
-    try:
-        baseline = Baseline.load(args.baseline) if args.baseline else Baseline()
-    except BaselineError as exc:
-        raise SystemExit(f"lint failed: {exc}") from exc
-
     paths: list = list(args.paths)
     if getattr(args, "changed", False):
         resolved = resolve_changed_paths(
@@ -101,22 +84,11 @@ def run_lint(args: argparse.Namespace) -> int:
         select=_split_rules(args.select),
         ignore=_split_rules(args.ignore) or (),
         scoped=args.scoped,
-        baseline=Baseline() if args.write_baseline else baseline,
     )
     try:
         result = lint_paths(paths, config)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(f"lint failed: {exc}") from exc
-
-    if args.write_baseline:
-        Baseline.from_findings(result.findings, result.content_hashes).save(
-            args.baseline
-        )
-        print(
-            f"baseline written to {args.baseline} "
-            f"({len(result.findings)} finding(s) grandfathered)"
-        )
-        return 0
 
     render = {
         "json": render_json, "github": render_github

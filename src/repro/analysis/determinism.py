@@ -70,8 +70,8 @@ class GlobalRandomRule(Rule):
 
     id = "DET001"
     title = "global random.* draw; inject a seeded random.Random instead"
-    #: Benchmarks time things, they do not define simulated behaviour.
-    exempt = ("repro/bench", "tests", "benchmarks")
+    #: Tests and benchmarks do not define simulated behaviour.
+    exempt = ("tests", "benchmarks")
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         random_names = module.names_for_module("random")

@@ -15,16 +15,6 @@ class Finding:
     rule: str
     message: str
 
-    @property
-    def key(self) -> str:
-        """Baseline identity: location-free, so line drift never un-grandfathers.
-
-        Two findings with the same file, rule and message share a key;
-        the baseline stores a per-key count (see
-        :class:`repro.analysis.baseline.Baseline`).
-        """
-        return f"{self.path}::{self.rule}::{self.message}"
-
     def render(self) -> str:
         """``path:line:col: RULE message`` (the text-reporter line)."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

@@ -6,21 +6,18 @@ import json
 
 from repro.analysis.runner import LintResult
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
+
+
+def _summary(result: LintResult) -> str:
+    noun = "file" if result.files_checked == 1 else "files"
+    return f"{len(result.findings)} finding(s) in {result.files_checked} {noun}"
 
 
 def render_text(result: LintResult) -> str:
     """Human-oriented report: one ``path:line:col: RULE message`` per line."""
     lines = [finding.render() for finding in result.findings]
-    for finding in result.grandfathered:
-        lines.append(f"{finding.render()} (baseline)")
-    noun = "file" if result.files_checked == 1 else "files"
-    summary = (
-        f"{len(result.findings)} finding(s) in {result.files_checked} {noun}"
-    )
-    if result.grandfathered:
-        summary += f" ({len(result.grandfathered)} grandfathered by baseline)"
-    lines.append(summary)
+    lines.append(_summary(result))
     return "\n".join(lines)
 
 
@@ -34,9 +31,8 @@ def _annotation_escape(value: str) -> str:
 def render_github(result: LintResult) -> str:
     """GitHub Actions error annotations: findings land on the PR diff.
 
-    One ``::error`` workflow command per gating finding; grandfathered
-    findings surface as ``::notice`` so they stay visible without
-    failing the job.  The trailing summary line is plain text.
+    One ``::error`` workflow command per finding.  The trailing summary
+    line is plain text.
     """
     lines = []
     for finding in result.findings:
@@ -45,16 +41,7 @@ def render_github(result: LintResult) -> str:
             f"col={finding.col},title=repro-lint {finding.rule}::"
             f"{_annotation_escape(finding.message)}"
         )
-    for finding in result.grandfathered:
-        lines.append(
-            f"::notice file={finding.path},line={finding.line},"
-            f"col={finding.col},title=repro-lint {finding.rule} (baseline)::"
-            f"{_annotation_escape(finding.message)}"
-        )
-    noun = "file" if result.files_checked == 1 else "files"
-    lines.append(
-        f"{len(result.findings)} finding(s) in {result.files_checked} {noun}"
-    )
+    lines.append(_summary(result))
     return "\n".join(lines)
 
 
@@ -65,8 +52,5 @@ def render_json(result: LintResult) -> str:
         "ok": result.ok,
         "files_checked": result.files_checked,
         "findings": [finding.to_json() for finding in result.findings],
-        "grandfathered": [
-            finding.to_json() for finding in result.grandfathered
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -35,7 +35,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.project import FunctionInfo, ModuleInfo, ProjectContext
 
 #: Paths whose randomness is not part of simulated behaviour.
-RNG_EXEMPT = ("repro/bench", "tests", "benchmarks")
+RNG_EXEMPT = ("tests", "benchmarks")
 
 #: Pool/executor dispatch methods whose first argument is a worker entry.
 POOL_DISPATCH = frozenset({

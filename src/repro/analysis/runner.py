@@ -1,4 +1,4 @@
-"""Lint runner: collect files, apply rules, filter suppressions/baseline.
+"""Lint runner: collect files, apply rules, filter suppressions.
 
 :func:`lint_paths` is the single entry point the CLI, the pre-commit
 hook and the tests all use.  It is deterministic by construction — the
@@ -20,13 +20,11 @@ pass.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.base import ModuleContext, ProjectRule, Rule, all_rules
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectContext
 from repro.analysis.suppressions import Suppressions
@@ -49,21 +47,15 @@ class LintConfig:
     #: Honor each rule's ``applies_to``/``exempt`` path scoping.  Tests
     #: pointing a scoped rule at a fixture file turn this off.
     scoped: bool = True
-    #: Baseline of grandfathered findings.
-    baseline: Baseline = field(default_factory=Baseline)
 
 
 @dataclass
 class LintResult:
     """Everything one lint run produced."""
 
-    #: Findings that fail the gate (not suppressed, not grandfathered).
+    #: Findings that fail the gate (not suppressed).
     findings: list[Finding]
-    #: Findings matched by the baseline (reported, never failing).
-    grandfathered: list[Finding]
     files_checked: int
-    #: Reported-path → sha256 of the linted source (for baselines).
-    content_hashes: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -101,11 +93,6 @@ def _relpath(path: Path) -> str:
         return path.resolve().relative_to(Path.cwd()).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def content_hash(source: str) -> str:
-    """Rename-stable identity of a linted file (baseline v2 keys)."""
-    return hashlib.sha256(source.encode()).hexdigest()
 
 
 def _select_rules(config: LintConfig) -> list[Rule]:
@@ -200,7 +187,7 @@ def lint_file(
 def lint_paths(
     paths: Iterable[str | Path], config: LintConfig | None = None
 ) -> LintResult:
-    """Lint files/directories (both passes) and apply the baseline split."""
+    """Lint files/directories (both passes)."""
     config = config or LintConfig()
     rules = _select_rules(config)
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
@@ -210,15 +197,12 @@ def lint_paths(
     all_findings: list[Finding] = []
     modules: list[ModuleContext] = []
     suppressions: dict[str, Suppressions] = {}
-    hashes: dict[str, str] = {}
     for path in files:
         module, parse_error, source = _parse(path)
         if module is None:
             if parse_error is not None:
                 all_findings.append(parse_error)
-                hashes[parse_error.path] = content_hash(source)
             continue
-        hashes[module.relpath] = content_hash(source)
         table = Suppressions(source)
         suppressions[module.relpath] = table
         modules.append(module)
@@ -227,8 +211,4 @@ def lint_paths(
     all_findings.extend(
         _project_pass(modules, suppressions, project_rules, config.scoped)
     )
-    new, grandfathered = config.baseline.split(sorted(all_findings), hashes)
-    return LintResult(
-        findings=new, grandfathered=grandfathered,
-        files_checked=len(files), content_hashes=hashes,
-    )
+    return LintResult(findings=sorted(all_findings), files_checked=len(files))

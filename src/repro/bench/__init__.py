@@ -1,21 +1,6 @@
-"""Performance harnesses: repeatable engine benchmarks.
+"""Engine benchmark inputs.
 
-``repro bench`` (CLI) and :mod:`repro.bench.engine_bench` time the
-simulation engine itself — not the paper's figures — and emit the
-machine-readable ``BENCH_engine.json`` that seeds the repo's
-performance trajectory.
+:mod:`repro.bench.engine_bench` builds the large synthetic applications
+that time the simulation engine itself — not the paper's figures —
+under its two scheduling cores (``benchmarks/test_engine_scale.py``).
 """
-
-from repro.bench.engine_bench import (
-    BenchConfig,
-    check_against_baseline,
-    render_bench,
-    run_engine_bench,
-)
-
-__all__ = [
-    "BenchConfig",
-    "check_against_baseline",
-    "render_bench",
-    "run_engine_bench",
-]

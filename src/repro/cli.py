@@ -10,8 +10,6 @@ Examples::
     python -m repro sweep --spec grid.toml --jobs 8
     python -m repro experiment fig4 --jobs 8
     python -m repro experiment table1
-    python -m repro bench --out BENCH_engine.json
-    python -m repro bench --tasks 1500 --check-baseline BENCH_engine.json
     python -m repro lint src/repro --format json
 
 Every command prints plain-text tables (the same renderers the
@@ -319,53 +317,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         status = 1
     return status
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.engine_bench import (
-        BenchConfig,
-        check_against_baseline,
-        render_bench,
-        run_engine_bench,
-        save_payload,
-    )
-
-    try:
-        config = BenchConfig(
-            min_tasks=args.tasks,
-            num_nodes=args.nodes,
-            slots_per_node=args.slots,
-            repeats=args.repeats,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"bench failed: {exc}") from exc
-    profiles = tuple(args.profiles.split(",")) if args.profiles else None
-    try:
-        payload = run_engine_bench(
-            config, include_reference=not args.no_reference, profiles=profiles
-        )
-    except ValueError as exc:
-        raise SystemExit(f"bench failed: {exc}") from exc
-    print(render_bench(payload))
-    if args.output:
-        save_payload(payload, args.output)
-        print(f"benchmark written to {args.output}")
-    if args.check_baseline:
-        try:
-            failures = check_against_baseline(
-                payload, args.check_baseline, max_slowdown=args.max_slowdown
-            )
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"bench failed: cannot read baseline: {exc}") from exc
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(
-            f"baseline check passed (vs {args.check_baseline}, "
-            f"limit {args.max_slowdown:.2f}x)"
-        )
-    return 0
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -702,28 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep result-store directory (sweep-backed "
                             "figures only)")
     exp_p.set_defaults(func=cmd_experiment)
-
-    bench_p = sub.add_parser(
-        "bench", help="time the engine's scheduling cores on synthetic workloads"
-    )
-    bench_p.add_argument("--tasks", type=int, default=5000,
-                         help="minimum simulated tasks per workload (default 5000)")
-    bench_p.add_argument("--nodes", type=int, default=16)
-    bench_p.add_argument("--slots", type=int, default=4)
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="timing repetitions; best is reported")
-    bench_p.add_argument("--no-reference", action="store_true",
-                         help="skip the O(tasks x nodes) reference core")
-    bench_p.add_argument("--profiles", default=None,
-                         help="comma list of workload profiles to measure "
-                              "(default: all; e.g. sched,cache)")
-    bench_p.add_argument("-o", "--out", dest="output", default=None,
-                         help="write the JSON payload here (e.g. BENCH_engine.json)")
-    bench_p.add_argument("--check-baseline", default=None,
-                         help="fail (exit 1) on a throughput regression vs this file")
-    bench_p.add_argument("--max-slowdown", type=float, default=2.0,
-                         help="allowed slowdown factor for --check-baseline")
-    bench_p.set_defaults(func=cmd_bench)
 
     mt_p = sub.add_parser(
         "mt", help="multi-tenant mode: concurrent applications on one cluster"

@@ -29,7 +29,8 @@ Two interchangeable scheduling cores implement the start-time order
   task, a scan of every manager's in-flight dict per task), kept as the
   executable specification: the equivalence suite asserts both cores
   produce identical :class:`RunMetrics` on every registered workload,
-  and the ``repro bench`` harness measures the speedup between them.
+  and ``benchmarks/test_engine_scale.py`` holds the speedup between
+  them above its floors.
 
 Every driver↔worker interaction — purge orders, prefetch orders, table
 broadcasts, cache-status reports, worker (de)registration — travels

@@ -240,11 +240,18 @@ class SweepOutcome:
         return self
 
     def stats_line(self) -> str:
-        """`16 cells: 12 computed, 4 cached, 0 errors in 3.2s`."""
+        """`16 cells: 12 computed, 4 cached, 0 errors in 3.2s`.
+
+        Counts distinct cells, as the progress total does; a grid with
+        duplicate cells appends its requested count: `(20 requested)`.
+        """
+        distinct = len(self._by_fingerprint)
+        requested = len(self.results)
         return (
-            f"{len(self.results)} cells: {self.computed} computed, "
+            f"{distinct} cells: {self.computed} computed, "
             f"{self.cached} cached, {self.errors} errors "
             f"in {self.elapsed_s:.1f}s"
+            + (f" ({requested} requested)" if requested != distinct else "")
         )
 
 

@@ -68,16 +68,16 @@ def test_det002_scope_covers_the_simulated_world():
     assert rule.in_scope("src/repro/core/mrd_table.py")
     assert rule.in_scope("src/repro/policies/lru.py")
     assert rule.in_scope("src/repro/control/plane.py")
-    # The sweep runner and bench harness legitimately time things.
+    # The sweep runner legitimately times things.
     assert not rule.in_scope("src/repro/sweep/runner.py")
-    assert not rule.in_scope("src/repro/bench/engine_bench.py")
 
 
-def test_det001_exempts_bench():
+def test_det001_covers_bench():
     rule = get_rule("DET001")
     assert rule.in_scope("src/repro/cluster/cluster.py")
-    assert not rule.in_scope("src/repro/bench/engine_bench.py")
+    assert rule.in_scope("src/repro/bench/engine_bench.py")
     assert not rule.in_scope("tests/workloads/test_synthetic.py")
+    assert not rule.in_scope("benchmarks/test_engine_scale.py")
 
 
 def test_unknown_rule_id_raises():

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.analysis import Baseline, lint_paths
+from repro.analysis import lint_paths
 from repro.analysis.reporters import render_github, render_json, render_text
 from repro.analysis.runner import (
     PARSE_ERROR_RULE,
@@ -68,15 +68,6 @@ def test_unknown_rule_id_rejected(tmp_path):
         lint_paths([_tree(tmp_path)], LintConfig(select=["NOPE"]))
 
 
-def test_baseline_grandfathers_known_findings(tmp_path):
-    root = _tree(tmp_path)
-    first = lint_paths([root])
-    baseline = Baseline.from_findings(first.findings)
-    second = lint_paths([root], LintConfig(baseline=baseline))
-    assert second.ok
-    assert len(second.grandfathered) == len(first.findings) == 2
-
-
 def test_syntax_error_becomes_parse_finding(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def broken(:\n")
@@ -86,19 +77,14 @@ def test_syntax_error_becomes_parse_finding(tmp_path):
     assert "does not parse" in result.findings[0].message
 
 
-def test_text_reporter_mentions_baseline_and_summary(tmp_path):
+def test_text_reporter_mentions_findings_and_summary(tmp_path):
     root = _tree(tmp_path)
-    first = lint_paths([root])
-    text = render_text(first)
+    text = render_text(lint_paths([root]))
     assert "2 finding(s)" in text and "3 files" in text
     assert "DET001" in text
 
-    gated = lint_paths(
-        [root], LintConfig(baseline=Baseline.from_findings(first.findings))
-    )
-    text = render_text(gated)
-    assert "(baseline)" in text
-    assert "0 finding(s)" in text
+    clean = render_text(lint_paths([root], LintConfig(ignore=["DET001"])))
+    assert clean == "0 finding(s) in 3 files"
 
 
 def test_json_reporter_round_trips(tmp_path):
@@ -121,16 +107,9 @@ def test_github_reporter_emits_error_annotations(tmp_path):
     assert report.splitlines()[-1].startswith("2 finding(s)")
 
 
-def test_github_reporter_notices_grandfathered_and_escapes(tmp_path):
-    root = _tree(tmp_path)
-    first = lint_paths([root])
-    gated = lint_paths(
-        [root], LintConfig(baseline=Baseline.from_findings(first.findings))
-    )
-    report = render_github(gated)
-    notices = [ln for ln in report.splitlines() if ln.startswith("::notice ")]
-    assert len(notices) == 2 and all("(baseline)" in ln for ln in notices)
-    assert not any(ln.startswith("::error ") for ln in report.splitlines())
+def test_github_reporter_clean_run_and_escapes(tmp_path):
+    clean = lint_paths([_tree(tmp_path)], LintConfig(ignore=["DET001"]))
+    assert render_github(clean) == "0 finding(s) in 3 files"
     # Workflow-command data escaping: a message containing % or newlines
     # must not break the annotation line.
     from repro.analysis.reporters import _annotation_escape

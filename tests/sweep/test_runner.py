@@ -191,6 +191,18 @@ class TestProgress:
         assert all(s[1] == 4 for s in seen)
         assert [s[2] for s in seen] == [True, True, False, False]
 
+    def test_stats_line_counts_what_progress_counts(self):
+        cells = _cells()
+        totals: set[int] = set()
+        outcome = run_cells(
+            cells + cells[:1], progress=lambda done, total, r: totals.add(total),
+        )
+        line = outcome.stats_line()
+        assert totals == {len(cells)}
+        assert line.startswith(f"{len(cells)} cells: {len(cells)} computed")
+        assert line.endswith(f"({len(cells) + 1} requested)")
+        assert "requested" not in run_cells(cells).stats_line()
+
 
 class TestSchedulerEquivalence:
     def test_event_and_reference_cores_agree(self):
