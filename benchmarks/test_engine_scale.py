@@ -44,9 +44,9 @@ SPEEDUP_FLOORS = {
 }
 
 
-def _run(dag, scheme_name, scheduler):
+def _run(dag, profile, scheme_name, scheduler):
     sim = SparkSimulator(
-        dag, CONFIG.cluster(), BENCH_SCHEMES[scheme_name](), scheduler=scheduler
+        dag, CONFIG.cluster(profile), BENCH_SCHEMES[scheme_name](), scheduler=scheduler
     )
     return sim.run()
 
@@ -58,18 +58,23 @@ def test_engine_scale_sched_profile(benchmark, scheme_name, scheduler):
     dag = build_bench_dag(CONFIG, "sched")
     assert total_tasks(dag) >= CONFIG.min_tasks
     benchmark.pedantic(
-        lambda: _run(dag, scheme_name, scheduler), rounds=3, iterations=1
+        lambda: _run(dag, "sched", scheme_name, scheduler), rounds=3, iterations=1
     )
 
 
 @pytest.mark.parametrize("scheme_name", sorted(BENCH_SCHEMES))
 def test_engine_scale_metrics_identical(scheme_name):
-    """Both cores simulate the same execution at benchmark scale."""
+    """Both cores simulate the same execution at benchmark scale, on
+    each profile's own cluster: the cache profile must evict."""
     for profile in ("sched", "cache"):
         dag = build_bench_dag(CONFIG, profile)
-        event = _metrics_fingerprint(_run(dag, scheme_name, "event"))
-        reference = _metrics_fingerprint(_run(dag, scheme_name, "reference"))
-        assert event == reference, f"cores diverged on {profile}/{scheme_name}"
+        event = _run(dag, profile, scheme_name, "event")
+        reference = _run(dag, profile, scheme_name, "reference")
+        assert _metrics_fingerprint(event) == _metrics_fingerprint(reference), (
+            f"cores diverged on {profile}/{scheme_name}"
+        )
+        if profile == "cache":
+            assert event.stats.evictions >= 1, f"{profile}/{scheme_name} never evicted"
 
 
 def test_event_core_speedup_floors():

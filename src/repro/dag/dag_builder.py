@@ -49,10 +49,13 @@ class ApplicationDAG:
     stages: list[Stage]
     active_stages: list[Stage]
     profiles: dict[int, RddReferenceProfile]
-    #: Engine-owned cache of compiled per-stage task plans, keyed by
-    #: ``(stage seq, num_nodes)``.  Derived data only — excluded from
-    #: equality and repr; reused across simulator instances so repeated
-    #: runs of one DAG (benchmarks, sweeps) skip replanning.
+    #: Engine-owned cache for static-membership runs: each stage's
+    #: compiled task plan under ``(stage seq, num_nodes)`` and the
+    #: per-RDD block rows plans are cut from under ``(rdd id,
+    #: num_nodes, is_write)``.  Derived data only — excluded from
+    #: equality and repr; kept until the DAG is dropped (or the tenancy
+    #: engine frees it as the application leaves), so repeated runs of
+    #: one DAG (benchmarks, sweeps) skip replanning.
     engine_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

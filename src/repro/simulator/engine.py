@@ -51,6 +51,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from repro.cluster.block import Block, BlockId, block_of
@@ -106,6 +107,17 @@ class SimulationError(RuntimeError):
 
 #: Scheduling cores understood by :class:`SparkSimulator`.
 SCHEDULERS = ("event", "reference")
+
+
+def _task_slices(rows: list[tuple], num_tasks: int) -> list[tuple]:
+    """Task ``p``'s entries: ``row[p::num_tasks]`` of each row, in row
+    order.  With no rows every task shares the empty tuple."""
+    if not rows:
+        return [()] * num_tasks
+    return [
+        tuple(chain.from_iterable(row[p::num_tasks] for row in rows))
+        for p in range(num_tasks)
+    ]
 
 
 class SparkSimulator:
@@ -190,7 +202,7 @@ class SparkSimulator:
         self._recompute_cost: dict[int, float] = {}
         #: One-entry memo of the current stage's compiled task plan
         #: (per-partition read/write lists); plans themselves are cached
-        #: on the DAG so repeated runs skip replanning entirely.
+        #: by :meth:`_stage_plan`.
         self._plan_stage: Stage | None = None
         self._plan: tuple[list, list, bool] | None = None
         #: Application id stamped on every control message; 0 for the
@@ -204,11 +216,12 @@ class SparkSimulator:
         self._current_job = -1
         self._last_seq = 0
         self._t_origin = 0.0
-        #: Per-run compiled plans for dynamic membership, keyed
-        #: ``(stage.seq, epoch)``.  Sticky placement is a function of
-        #: the run's membership *history*, so these plans must never be
-        #: shared across runs the way ``dag.engine_plans`` is.
-        self._plan_cache: dict[tuple[int, int], tuple[list, list, bool]] = {}
+        #: Per-run plans ``(stage.seq, epoch)`` and block rows ``(rdd
+        #: id, epoch, is_write)`` for dynamic membership, dropped at the
+        #: next run start.  Sticky placement is a function of the run's
+        #: membership *history*, so these must never be shared across
+        #: runs the way ``dag.engine_plans`` is.
+        self._plan_cache: dict[tuple, tuple] = {}
         # Membership churn accounting (all zero for static runs).
         self._membership_changed = False
         self._nodes_joined = 0
@@ -770,48 +783,76 @@ class SparkSimulator:
         RDD, so a stage with fewer tasks than an input RDD has
         partitions still accesses (and accounts) the tail partitions.
         The plan resolves block ids, home-node indices and sizes once
-        per (stage, cluster size) — cached on the DAG while membership
-        is static, so repeated runs (bench repeats, sweep cells) reuse
-        it — instead of rebuilding ``BlockId``/``Block`` objects inside
-        every task.  Once membership changed (or under sticky
-        placement, which depends on this run's membership *history*),
-        plans move to a per-run cache keyed by membership epoch: they
-        would poison other runs on the shared DAG.
+        instead of rebuilding ``BlockId``/``Block`` objects inside every
+        task.  Plans and the per-RDD block rows they are cut from (see
+        :meth:`_compile_plan`) share one cache and one scope:
+
+        * while membership is static, ``dag.engine_plans`` under the
+          cluster size, so repeated runs of the DAG (sweep cells,
+          benchmark repeats) skip replanning — until
+          :meth:`_release_plans` clears it;
+        * once membership changed (or under sticky placement, which
+          depends on this run's membership *history*), the per-run
+          ``_plan_cache`` under the membership epoch: such plans would
+          poison other runs on the shared DAG.
         """
         master = self.cluster.master
         if master.static_members:
-            key = (stage.seq, master.num_nodes)
-            plan = self.dag.engine_plans.get(key)
-            if plan is None:
-                plan = self._compile_plan(stage)
-                self.dag.engine_plans[key] = plan
-            return plan
-        dyn_key = (stage.seq, master.epoch)
-        plan = self._plan_cache.get(dyn_key)
+            cache, scope = self.dag.engine_plans, master.num_nodes
+        else:
+            cache, scope = self._plan_cache, master.epoch
+        plan = cache.get((stage.seq, scope))
         if plan is None:
-            plan = self._compile_plan(stage)
-            self._plan_cache[dyn_key] = plan
+            plan = cache[stage.seq, scope] = self._compile_plan(stage, cache, scope)
         return plan
 
-    def _compile_plan(self, stage: Stage) -> tuple[list, list, bool]:
-        place = self.cluster.master.placement.place
+    def _compile_plan(
+        self, stage: Stage, cache: dict, scope: int
+    ) -> tuple[list, list, bool]:
+        """Cut one stage's plan from per-RDD block rows.
+
+        A block is named by ``(rdd, partition)`` alone, so one row per
+        cached RDD — an entry for every partition ``q`` — serves every
+        stage that reads or writes it; task ``p`` of a T-task stage gets
+        ``row[p::T]`` of each RDD, joined in ``cache_reads`` /
+        ``cache_writes`` order.  Rows are cached beside the plans under
+        ``(rdd id, scope, is_write)``.
+        """
         num_tasks = stage.num_tasks
-        reads: list[tuple] = []
-        writes: list[tuple] = []
-        for p in range(num_tasks):
-            task_reads = [
-                (BlockId(rdd.id, q), place(q), rdd.partition_size_mb)
-                for rdd in stage.cache_reads
-                for q in range(p, rdd.num_partitions, num_tasks)
-            ]
-            task_writes = [
-                (block_of(rdd, q), place(q))
-                for rdd in stage.cache_writes
-                for q in range(p, rdd.num_partitions, num_tasks)
-            ]
-            reads.append(tuple(task_reads))
-            writes.append(tuple(task_writes))
+        reads = _task_slices(
+            [self._block_row(rdd, False, cache, scope) for rdd in stage.cache_reads],
+            num_tasks,
+        )
+        writes = _task_slices(
+            [self._block_row(rdd, True, cache, scope) for rdd in stage.cache_writes],
+            num_tasks,
+        )
         return (reads, writes, bool(stage.cache_writes))
+
+    def _block_row(self, rdd: RDD, write: bool, cache: dict, scope: int) -> tuple:
+        """``rdd``'s read entries ``(block id, home, size)`` or write
+        entries ``(block, home)``, one per partition."""
+        key = (rdd.id, scope, write)
+        row = cache.get(key)
+        if row is None:
+            place = self.cluster.master.placement.place
+            partitions = range(rdd.num_partitions)
+            if write:
+                row = tuple((block_of(rdd, q), place(q)) for q in partitions)
+            else:
+                size = rdd.partition_size_mb
+                row = tuple((BlockId(rdd.id, q), place(q), size) for q in partitions)
+            cache[key] = row
+        return row
+
+    def _release_plans(self) -> None:
+        """Free every compiled plan and block row of this driver: the
+        DAG's shared ones and this run's.  Only for a DAG no later run
+        reuses (the tenancy engine calls it as an application leaves)."""
+        self.dag.engine_plans.clear()
+        self._plan_cache = {}
+        self._plan_stage = None
+        self._plan = None
 
     def _run_task(
         self, stage: Stage, partition: int, node_id: int, t0: float, fixed: float

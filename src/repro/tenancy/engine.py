@@ -39,7 +39,9 @@ scheduling decisions exactly — the equivalence suite asserts the full
 Teardown: when an application finishes, its metrics are collected
 first, then every block in its RDD namespace is dropped from the shared
 stores and its tenant policies are deregistered — a finished tenant
-neither holds cache nor participates in arbitration.
+neither holds cache nor participates in arbitration.  Its compiled
+task plans are freed too: each application's DAG is built for this
+stream alone, so nothing could reuse them.
 
 Elastic membership
 ------------------
@@ -436,6 +438,8 @@ class MultiTenantSimulator:
             assert isinstance(composite, ArbitratedNodePolicy)
             composite.deregister_tenant(app.index)
         self._masters[app.index] = None
+        # Its DAG is private to this stream: no later run reuses the plans.
+        app.driver._release_plans()
 
 
 def simulate_multi_tenant(

@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
+from repro.simulator.engine import SparkSimulator
 from repro.tenancy import (
     AppSpec,
     ArbitratedNodePolicy,
     FixedArrivals,
     MultiTenantSimulator,
     PoissonArrivals,
+    TimedNodeDecommission,
+    TimedNodeJoin,
     mt_metrics_to_dict,
     simulate_multi_tenant,
 )
@@ -99,6 +102,29 @@ class TestIsolation:
             assert isinstance(policy, ArbitratedNodePolicy)
             assert policy._tenants == {}
             assert list(policy.eviction_order(node.memory)) == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"placement": "rendezvous"},
+        {"memberships": (TimedNodeJoin(at=3.0), TimedNodeDecommission(at=9.0))},
+    ], ids=["static", "rendezvous", "churn"])
+    def test_finished_apps_hold_no_plans(self, kwargs, monkeypatch):
+        compiled = []
+        compile_plan = SparkSimulator._compile_plan
+
+        def counting(driver, stage, cache, scope):
+            compiled.append(driver.app_id)
+            return compile_plan(driver, stage, cache, scope)
+
+        monkeypatch.setattr(SparkSimulator, "_compile_plan", counting)
+        sim = run(arrivals=FixedArrivals(interval=1.0), **kwargs)
+        sim.run()
+        assert set(compiled) == {0, 1, 2}
+        for app in sim._loop.apps:
+            driver = app.driver
+            assert driver.dag.engine_plans == {}
+            assert driver._plan_cache == {}
+            assert driver._plan is None
 
 
 class TestValidation:
