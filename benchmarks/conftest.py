@@ -1,10 +1,14 @@
 """Benchmark-suite configuration.
 
-Every benchmark regenerates one of the paper's tables or figures and
-prints the rendered result (so ``pytest benchmarks/ --benchmark-only -s``
-reproduces the evaluation section on stdout).  Experiment drivers are
-deterministic whole-simulation runs, so each is measured with a single
-round — the interesting output is the table, not the nanoseconds.
+What ``repro report`` does not gate lives here: Fig. 2, Tables 1 and 3,
+the ablations, the oracle comparison, the robustness and sensitivity
+studies, the §4.4 overheads, the engine speed floors and the micro
+benchmarks.  Figures 4–12 are regenerated and checked by ``repro
+report`` against ``repro.experiments.claims``.  Each benchmark prints
+its rendered result (``pytest benchmarks/ --benchmark-only -s``).
+Experiment drivers are deterministic whole-simulation runs, so each is
+measured with a single round — the interesting output is the table,
+not the nanoseconds.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ rules consume:
   (DET001–DET004, MUT001);
 * :mod:`repro.analysis.rng_rules` — RNG provenance (RNG101–RNG103);
 * :mod:`repro.analysis.io_rules` — crash-consistent IO over the result
-  store and trace files (IO201–IO203);
+  store and trace files (IO201);
 * :mod:`repro.analysis.event_rules` — trace-event schema drift (EVT301);
 * :mod:`repro.analysis.suppressions` — ``# repro: noqa[RULE]`` line and
   ``# repro: noqa-file[RULE]`` file suppressions;

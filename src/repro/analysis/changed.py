@@ -2,8 +2,8 @@
 
 Pre-commit wants lint latency proportional to the diff, not the repo —
 but a *cross-module* analyzer cannot lint changed files in isolation:
-editing a helper's ``atomicio.py`` can create (or fix) an IO203
-finding in the ``merge.py`` that calls it (the ``io203_*`` fixture
+editing a helper's ``noise.py`` can create (or fix) an RNG102
+finding in the ``api.py`` that calls it (the ``rng102_*`` fixture
 packages under ``tests/analysis/fixtures/``).  The correct unit is the
 changed files' **import closure**: the changed modules, every
 transitive importer of them, and the transitive imports of that whole

@@ -759,7 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p.set_defaults(func=cmd_trace_diff)
 
     report_p = sub.add_parser(
-        "report", help="regenerate the full evaluation as markdown"
+        "report",
+        help="regenerate the full evaluation as markdown; exits 1 when a "
+             "paper claim leaves its band (repro.experiments.claims)",
     )
     report_p.add_argument("-o", "--output", default=None,
                           help="write to a file instead of stdout")
@@ -806,7 +808,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
-    text = generate_report(
+    text, failed = generate_report(
         out=args.output, progress=args.output is not None,
         jobs=args.jobs, store=args.store,
     )
@@ -814,7 +816,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(text)
     else:
         print(f"report written to {args.output}")
-    return 0
+    for line in failed:
+        print(f"claim out of band: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -62,16 +62,10 @@ class MigrateLowestDistance(RebalancePolicy):
     outright — the edge a global reference-distance table gives over
     distance-blind schemes, whose ``None`` distances rank last but are
     still migrated (blind migration).  Ties break on ``(rdd_id,
-    partition)`` for a deterministic order; ``max_blocks`` caps the
-    migration budget.
+    partition)`` for a deterministic order.
     """
 
     name = "migrate"
-
-    def __init__(self, max_blocks: int | None = None) -> None:
-        if max_blocks is not None and max_blocks < 0:
-            raise ValueError("max_blocks must be non-negative")
-        self.max_blocks = max_blocks
 
     def select(self, blocks: list[Block], distance_of: DistanceFn) -> list[Block]:
         ranked: list[tuple[float, int, int, Block]] = []
@@ -86,16 +80,13 @@ class MigrateLowestDistance(RebalancePolicy):
                 block,
             ))
         ranked.sort(key=lambda item: item[:3])
-        selected = [item[3] for item in ranked]
-        if self.max_blocks is not None:
-            selected = selected[: self.max_blocks]
-        return selected
+        return [item[3] for item in ranked]
 
 
-def build_rebalance(name: str, max_blocks: int | None = None) -> RebalancePolicy:
+def build_rebalance(name: str) -> RebalancePolicy:
     """Construct a rebalance policy by name."""
     if name == "drop":
         return DropRebalance()
     if name == "migrate":
-        return MigrateLowestDistance(max_blocks=max_blocks)
+        return MigrateLowestDistance()
     raise ValueError(f"rebalance must be one of {REBALANCES}, got {name!r}")

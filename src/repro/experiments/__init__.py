@@ -1,9 +1,10 @@
 """Experiment drivers: one module per table/figure of the paper.
 
 Each module exposes ``run()`` (returns structured results) and
-``render()`` (plain-text table).  The benchmark suite under
-``benchmarks/`` wraps these, and EXPERIMENTS.md records the measured
-numbers against the paper's.
+``render()`` (plain-text table).  ``repro report``
+(:mod:`repro.experiments.report`) runs them all and checks the paper's
+headline claims (:mod:`repro.experiments.claims`); EXPERIMENTS.md
+records the measured numbers against the paper's.
 """
 
 from repro.experiments import (  # noqa: F401

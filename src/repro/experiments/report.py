@@ -1,10 +1,12 @@
 """Full evaluation report: run every experiment and render markdown.
 
 ``python -m repro report [-o FILE]`` regenerates the complete
-evaluation section — all tables and figures plus the headline summary —
-from scratch.  Figures 4–10 run as one grid (:func:`cells`) in one
-``run_cells`` call: one pool, one result store.  A report takes under
-20 s on one core; it is deterministic at any job count.
+evaluation section — all tables and figures plus the headline claims
+table (:mod:`repro.experiments.claims`) — from scratch.  Figures 4–10
+run as one grid (:func:`cells`) in one ``run_cells`` call: one pool,
+one result store.  Each figure's rows are reduced once and feed both
+its rendered table and the claims.  A report takes under 20 s on one
+core; it is deterministic at any job count.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import io
 from pathlib import Path
 
 from repro.experiments import (
+    claims,
     fig2,
     fig4,
     fig5,
@@ -30,9 +33,21 @@ from repro.sweep.runner import run_cells
 from repro.sweep.spec import CellSpec
 
 
+#: Figures 4–10, the one grid's drivers, by name, with their section titles.
+FIGURES = {
+    "fig4": (fig4, "Figure 4 — overall performance"),
+    "fig5": (fig5, "Figure 5 — vs LRC"),
+    "fig6": (fig6, "Figure 6 — vs MemTune"),
+    "fig7": (fig7, "Figure 7 — cache-size sweep (SVD++)"),
+    "fig8": (fig8, "Figure 8 — stage vs job distance"),
+    "fig9": (fig9, "Figure 9 — ad-hoc vs recurring"),
+    "fig10": (fig10, "Figure 10 — iteration scaling"),
+}
+
+
 def cells() -> list[CellSpec]:
     """The report's grid: Figures 4–10's default cells, concatenated."""
-    return [c for fig in (fig4, fig5, fig6, fig7, fig8, fig9, fig10) for c in fig.cells()]
+    return [c for fig, _ in FIGURES.values() for c in fig.cells()]
 
 
 def generate_report(
@@ -40,13 +55,15 @@ def generate_report(
     progress: bool = False,
     jobs: int = 1,
     store=None,
-) -> str:
+) -> tuple[str, list[str]]:
     """Run the full evaluation; returns (and optionally writes) markdown.
 
-    ``jobs``/``store`` apply to the grid of Figures 4–10: with a store,
-    a rerun after an interrupt (or a tweak to one figure) recomputes
-    only the missing cells.  With ``progress``, each cell prints a line
-    to stderr and the grid's stats line follows.
+    Returns the markdown and one line per claim outside its band
+    (:func:`repro.experiments.claims.failures`; empty when every claim
+    holds).  ``jobs``/``store`` apply to the grid of Figures 4–10: with
+    a store, a rerun after an interrupt (or a tweak to one figure)
+    recomputes only the missing cells.  With ``progress``, each cell
+    prints a line to stderr and the grid's stats line follows.
     """
     buf = io.StringIO()
 
@@ -81,29 +98,17 @@ def generate_report(
     ).raise_on_error()
     say(outcome.stats_line())
 
-    rows4 = fig4.reduce(outcome)
-    section("Figure 4 — overall performance", fig4.render(rows4))
-    section("Figure 5 — vs LRC", fig5.render(fig5.reduce(outcome)))
-    section("Figure 6 — vs MemTune", fig6.render(fig6.reduce(outcome)))
-    section("Figure 7 — cache-size sweep (SVD++)", fig7.render(fig7.reduce(outcome)))
-    section("Figure 8 — stage vs job distance", fig8.render(fig8.reduce(outcome)))
-    section("Figure 9 — ad-hoc vs recurring", fig9.render(fig9.reduce(outcome)))
-    section("Figure 10 — iteration scaling", fig10.render(fig10.reduce(outcome)))
+    reduced = {name: fig.reduce(outcome) for name, (fig, _) in FIGURES.items()}
+    for name, (fig, title) in FIGURES.items():
+        section(title, fig.render(reduced[name]))
     say("figures 11-12 ...")
-    section("Figures 11-12 — benefit predictors", fig11_12.render(fig11_12.run(rows4)))
+    reduced["fig11_12"] = fig11_12.run(reduced["fig4"])
+    section("Figures 11-12 — benefit predictors", fig11_12.render(reduced["fig11_12"]))
 
-    avg = fig4.averages(rows4)
-    buf.write(
-        "\n## Headline summary\n\n"
-        f"- full MRD average normalized JCT: **{avg['full']:.2f}** "
-        "(paper: 0.53)\n"
-        f"- eviction-only: **{avg['evict_only']:.2f}** (paper: 0.62); "
-        f"prefetch-only: **{avg['prefetch_only']:.2f}** (paper: 0.67)\n"
-        f"- average hit ratio: LRU **{avg['lru_hit'] * 100:.0f}%** → "
-        f"MRD **{avg['mrd_hit'] * 100:.0f}%**\n"
-    )
+    results = claims.evaluate(reduced)
+    buf.write(f"\n## Headline summary\n\n{claims.render(results)}\n")
 
     text = buf.getvalue()
     if out is not None:
         Path(out).write_text(text)
-    return text
+    return text, claims.failures(results)

@@ -129,7 +129,6 @@ class SparkSimulator:
         cluster_config: ClusterConfig,
         scheme: CacheScheme,
         cost_model: CostModel | None = None,
-        promote_on_miss: bool = True,
         failure_plan: FailurePlan | None = None,
         recorder: TraceRecorder | None = None,
         scheduler: str = "event",
@@ -162,7 +161,6 @@ class SparkSimulator:
             disk=cluster_config.disk,
             cpu_speed=cluster_config.cpu_speed,
         )
-        self.promote_on_miss = promote_on_miss
         self.failure_plan = failure_plan
         #: Partition → node scheme ("stride" legacy, "rendezvous" sticky).
         self.placement = placement
@@ -914,10 +912,9 @@ class SparkSimulator:
             return t
         if outcome is DISK_READ:
             t = mgr.node.reserve_io(t, size_mb)
-            if self.promote_on_miss:
-                block = mgr.node.disk.get(bid)
-                assert block is not None
-                mgr.promote_from_disk(block, protect)
+            block = mgr.node.disk.get(bid)
+            assert block is not None
+            mgr.promote_from_disk(block, protect)
             return t
         # Neither in memory nor on disk.  Without failure injection or
         # membership churn this is a DAG-contract violation; with lost

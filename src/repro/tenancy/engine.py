@@ -211,7 +211,6 @@ class MultiTenantSimulator:
         arbitration: str | ArbitrationPolicy = "static",
         control_plane: str = "instant",
         control_config: RpcConfig | None = None,
-        promote_on_miss: bool = True,
         placement: str = "stride",
         memberships: list[TimedMembershipEvent] | tuple[TimedMembershipEvent, ...] = (),
         rebalance: str = "drop",
@@ -234,7 +233,6 @@ class MultiTenantSimulator:
         self.arbitration = build_arbitration(arbitration)
         self.control_plane = control_plane
         self.control_config = control_config
-        self.promote_on_miss = promote_on_miss
         self.placement = placement
         self.memberships = tuple(memberships)
         self.rebalance = rebalance
@@ -291,7 +289,6 @@ class MultiTenantSimulator:
                 )),
                 self.cluster_config,
                 resolve_scheme(spec.scheme).build(),
-                promote_on_miss=self.promote_on_miss,
                 control_plane=self.control_plane,
                 control_config=self.control_config,
                 placement=self.placement,

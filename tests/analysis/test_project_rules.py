@@ -1,11 +1,11 @@
 """Whole-program rule tests over the multi-file fixture packages.
 
-Each new cross-module rule (RNG1xx, IO2xx, EVT301) has a ``*_bad``
+Each cross-module rule (RNG1xx, IO201, EVT301) has a ``*_bad``
 fixture *package* staging its findings across several modules and an
 ``*_ok`` twin showing the sanctioned idiom, which must lint silent.
-Packages are linted through :func:`lint_paths` with scoping off so the
-IO2xx rules (scoped to ``repro/sweep`` and ``repro/trace`` in the real
-tree) still see the fixtures.
+Packages are linted through :func:`lint_paths` with scoping off so
+IO201 (scoped to ``repro/sweep`` and ``repro/trace`` in the real
+tree) still sees the fixtures.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ EXPECTED_POSITIVES = {
     "RNG101": 3,
     "RNG102": 2,
     "RNG103": 1,
-    "IO201": 2,
-    "IO202": 1,
-    "IO203": 1,
+    "IO201": 3,
     "EVT301": 2,
 }
 
@@ -89,25 +87,12 @@ def test_io201_names_the_clobbered_path():
     assert all("os.replace" in f.message for f in findings)
 
 
-def test_io202_mentions_exclusive_create():
-    (finding,) = _lint("IO202", "io202_bad")
-    assert "O_EXCL" in finding.message
-    assert finding.path.endswith("leases.py")
-
-
-def test_io203_fires_once_per_read_modify_write():
-    (finding,) = _lint("IO203", "io203_bad")
-    assert finding.path.endswith("merge.py")
-    assert "read" in finding.message.lower()
-
-
 def test_io_rules_are_scoped_to_sweep_and_trace():
-    for rule_id in ("IO201", "IO202", "IO203"):
-        rule = get_rule(rule_id)
-        assert rule.in_scope("src/repro/sweep/store.py")
-        assert rule.in_scope("src/repro/trace/recorder.py")
-        assert not rule.in_scope("src/repro/simulator/engine.py")
-        assert not rule.in_scope("tests/sweep/test_store.py")
+    rule = get_rule("IO201")
+    assert rule.in_scope("src/repro/sweep/store.py")
+    assert rule.in_scope("src/repro/trace/recorder.py")
+    assert not rule.in_scope("src/repro/simulator/engine.py")
+    assert not rule.in_scope("tests/sweep/test_store.py")
 
 
 # ---------------------------------------------------------------- EVT

@@ -80,20 +80,5 @@ def test_migrate_drops_known_dead_blocks():
     assert [b.id for b in selected] == [BlockId(1, 0), BlockId(1, 1)]
 
 
-def test_migrate_budget_caps_selection():
-    policy = MigrateLowestDistance(max_blocks=2)
-    selected = policy.select(BLOCKS, lambda b: float(b.id.rdd_id))
-    assert [b.id for b in selected] == [BlockId(1, 0), BlockId(1, 1)]
-
-
-def test_migrate_zero_budget_moves_nothing():
-    assert MigrateLowestDistance(max_blocks=0).select(BLOCKS, lambda b: 1.0) == []
-
-
-def test_migrate_negative_budget_rejected():
-    with pytest.raises(ValueError, match="non-negative"):
-        MigrateLowestDistance(max_blocks=-1)
-
-
 def test_migrate_empty_input():
     assert MigrateLowestDistance().select([], lambda b: 1.0) == []

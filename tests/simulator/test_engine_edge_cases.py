@@ -54,21 +54,6 @@ class TestRemoteReads:
         assert {b.partition for b in cached if b.rdd_id == data_rdd.id} == {0, 1, 2, 3}
 
 
-class TestPromotionKnob:
-    def test_promotion_knob_changes_churn(self):
-        dag = build_dag(make_linear_app(num_jobs=4))
-        cfg = config(nodes=2, cache=10.0)
-        promoted = simulate(dag, cfg, LruScheme(), promote_on_miss=True)
-        unpromoted = simulate(dag, cfg, LruScheme(), promote_on_miss=False)
-        # Read-through promotion churns an LRU cache under cyclic scans
-        # (every miss displaces a resident block); without promotion the
-        # only evictions are insertion-driven.
-        assert promoted.stats.evictions > unpromoted.stats.evictions
-        assert unpromoted.stats.evictions <= unpromoted.stats.insertions
-        # The access totals are identical either way.
-        assert promoted.stats.accesses == unpromoted.stats.accesses
-
-
 class TestDegenerateConfigs:
     def test_zero_cache_still_completes(self):
         dag = build_dag(make_linear_app(num_jobs=3))
