@@ -20,33 +20,41 @@ The algorithm mirrors Spark's ``DAGScheduler``:
    material for reference counts (LRC) and reference distances (MRD).
 
 Most stages of a long iterative application are skipped re-creations of
-earlier jobs' shuffle lineage, so the per-stage work is kept small: an
-RDD's shuffle frontier is computed once and shared by every job, and
-only submitted stages get their pipelines resolved.
+earlier jobs' shuffle lineage: their number grows with the square of
+the job count, while the active stages grow linearly.  So the per-stage
+work is kept small and nothing is stored per skipped stage.  An RDD's
+shuffle frontier is computed once and shared by every job; only
+submitted stages get their pipelines resolved and a stored
+:class:`Stage`; and each job keeps just its first stage id and its
+shuffle dependencies in creation order, from which
+:class:`~repro.dag.structures.StageView` rebuilds any skipped stage on
+access.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.dag.context import SparkApplication
 from repro.dag.rdd import NarrowDependency, RDD, ShuffleDependency
-from repro.dag.structures import Job, RddReferenceProfile, Stage
+from repro.dag.structures import Job, RddReferenceProfile, Stage, StageView
 
 
 @dataclass
 class ApplicationDAG:
     """The fully compiled application DAG.
 
-    ``stages`` is indexed by global stage id; ``active_stages`` is the
-    execution sequence (indexed by ``seq``).  ``profiles`` maps the id
-    of every cached RDD to its :class:`RddReferenceProfile`.
+    ``stages`` is indexed by global stage id (from :func:`build_dag`, a
+    :class:`StageView` that stores only the active stages);
+    ``active_stages`` is the execution sequence (indexed by ``seq``).
+    ``profiles`` maps the id of every cached RDD to its
+    :class:`RddReferenceProfile`.
     """
 
     app: SparkApplication
     jobs: list[Job]
-    stages: list[Stage]
+    stages: Sequence[Stage]
     active_stages: list[Stage]
     profiles: dict[int, RddReferenceProfile]
     #: Engine-owned cache for static-membership runs: each stage's
@@ -94,14 +102,13 @@ class DagBuilder:
 
     Each job is compiled in three passes: create every stage of the
     job's shuffle lineage (:meth:`_create_job_stages`), decide which of
-    them are submitted (:meth:`_submitted`), then emit a :class:`Stage`
-    per created stage, resolving pipelines and reference-profile events
-    for the submitted ones only.
+    them are submitted (:meth:`_submitted`), then resolve pipelines and
+    reference-profile events for the submitted ones, in id order.  The
+    skipped ones get an id and nothing else.
     """
 
     def __init__(self, app: SparkApplication) -> None:
         self.app = app
-        self._stages: list[Stage] = []
         self._active: list[Stage] = []
         self._materialized_shuffles: set[int] = set()
         #: ids of cached RDDs whose blocks an earlier stage computed
@@ -118,40 +125,37 @@ class DagBuilder:
     # ------------------------------------------------------------------
     def build(self) -> ApplicationDAG:
         jobs: list[Job] = []
-        stages = self._stages
+        job_deps: list[tuple[ShuffleDependency, ...]] = []
+        frontiers = self._frontiers
+        first = 0
         for spec in self.app.jobs:
             job_id = spec.job_id
-            first = len(stages)
-            rdds, shuffle_deps, parent_ids, created = self._create_job_stages(spec.target)
+            rdds, shuffle_deps, created = self._create_job_stages(spec.target, first)
             result_id = first + len(rdds) - 1
-            submitted = self._submitted(result_id, first, rdds, created, job_id)
-            for sid, rdd, dep, parents in zip(
-                range(first, result_id + 1), rdds, shuffle_deps, parent_ids
-            ):
-                if sid in submitted:
-                    stage = self._resolve_stage(sid, job_id, rdd, dep, parents)
-                    self._active.append(stage)
-                else:  # positional, in field order: the hot path of the build
-                    stage = Stage(
-                        sid, job_id, -1, rdd, (), dep, parents, True,
-                        rdd.num_partitions, (), (), (), (), 0.0,
-                    )
-                stages.append(stage)
+            submitted = sorted(self._submitted(result_id, first, rdds, created, job_id))
+            for sid in submitted:
+                rdd = rdds[sid - first]
+                parents = tuple([created[d.shuffle_id] for d in frontiers[rdd.id]])
+                self._active.append(
+                    self._resolve_stage(sid, job_id, rdd, shuffle_deps[sid - first], parents)
+                )
             jobs.append(
                 Job(
                     id=job_id,
                     spec=spec,
-                    stage_ids=tuple(range(first, result_id + 1)),
-                    active_stage_ids=tuple(sorted(submitted)),
+                    stage_ids=range(first, result_id + 1),
+                    active_stage_ids=tuple(submitted),
                 )
             )
+            job_deps.append(tuple(shuffle_deps[:-1]))  # the result stage's is None
+            first = result_id + 1
         for rdd_id, after in self._unpersist_after.items():
             if rdd_id in self._profiles:
                 self._profiles[rdd_id].unpersist_after_job = after
         return ApplicationDAG(
             app=self.app,
             jobs=jobs,
-            stages=stages,
+            stages=StageView(jobs, job_deps, frontiers, self._active),
             active_stages=self._active,
             profiles=self._profiles,
         )
@@ -159,44 +163,43 @@ class DagBuilder:
     # ------------------------------------------------------------------
     # stage creation and submission (per job)
     # ------------------------------------------------------------------
-    def _create_job_stages(self, target: RDD) -> tuple[
-        list[RDD], list[ShuffleDependency | None], list[tuple[int, ...]], dict[int, int]
+    def _create_job_stages(self, target: RDD, base: int) -> tuple[
+        list[RDD], list[ShuffleDependency | None], dict[int, int]
     ]:
-        """Create this job's stages, parents before children.
+        """Create this job's stages, parents before children, from id ``base``.
 
         Mirrors Spark's ``createResultStage`` → ``getOrCreateParentStages``:
         the *entire* shuffle lineage gets a stage, regardless of cache
         state or earlier materialization — skipping is a submission-time
         decision made separately in :meth:`_submitted`.  Returns each
-        stage's output RDD, shuffle dependency (``None`` for the result
-        stage, which comes last) and parent stage ids, plus the map from
-        shuffle id to the stage id created for it.
+        stage's output RDD and shuffle dependency (``None`` for the
+        result stage, which comes last), plus the map from shuffle id to
+        the stage id created for it.  A stage's parents are the stages
+        created for its RDD's shuffle frontier, which is memoized in
+        ``self._frontiers`` for every RDD that gets a stage.
         """
-        base = len(self._stages)
         frontiers = self._frontiers
         created: dict[int, int] = {}
         rdds: list[RDD] = []
         shuffle_deps: list[ShuffleDependency | None] = []
-        parent_ids: list[tuple[int, ...]] = []
 
         # Post-order walk with an explicit stack (a shuffle lineage can
         # be deeper than Python's recursion limit).  Each frame is
-        # ``(rdd, shuffle_dep, frontier, pending parents)``; a frame
-        # emits its stage once every parent has an id, so ids come out
+        # ``(rdd, shuffle_dep, pending parents)``; a frame emits its
+        # stage once every parent has an id, so ids come out
         # parents-first in the recursive definition's order.
-        frontier = self._untruncated_frontier(target)
-        stack: list[
-            tuple[RDD, ShuffleDependency | None, tuple[ShuffleDependency, ...], Iterator[ShuffleDependency]]
-        ] = [(target, None, frontier, iter(frontier))]
+        stack: list[tuple[RDD, ShuffleDependency | None, Iterator[ShuffleDependency]]] = [
+            (target, None, iter(self._untruncated_frontier(target)))
+        ]
         while stack:
-            rdd, shuffle_dep, frontier, pending = stack[-1]
+            rdd, shuffle_dep, pending = stack[-1]
             for dep in pending:
                 if dep.shuffle_id not in created:
                     parent = dep.parent
                     deps = frontiers.get(parent.id)  # the memo, inlined: once per stage
                     if deps is None:
                         deps = self._untruncated_frontier(parent)
-                    stack.append((parent, dep, deps, iter(deps)))
+                    stack.append((parent, dep, iter(deps)))
                     break
             else:
                 stack.pop()
@@ -204,8 +207,7 @@ class DagBuilder:
                     created[shuffle_dep.shuffle_id] = base + len(rdds)
                 rdds.append(rdd)
                 shuffle_deps.append(shuffle_dep)
-                parent_ids.append(tuple([created[d.shuffle_id] for d in frontier]))
-        return rdds, shuffle_deps, parent_ids, created
+        return rdds, shuffle_deps, created
 
     def _submitted(
         self,

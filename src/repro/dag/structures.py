@@ -9,8 +9,10 @@ sequence numbers every cached RDD is written and read.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, overload
 
 from repro.dag.context import JobSpec
 from repro.dag.rdd import RDD, ShuffleDependency
@@ -19,11 +21,13 @@ from repro.dag.rdd import RDD, ShuffleDependency
 class Stage(NamedTuple):
     """One Spark stage.
 
-    A compiled application holds one per stage id, skipped stages
-    included (a long iterative application has ~10^5), so a stage is an
-    immutable named tuple: no per-instance ``__dict__``, and built about
-    four times faster than a frozen dataclass, whose ``__init__`` sets
-    each field through ``object.__setattr__``.  Assigning or deleting an
+    Every stage id has a stage, skipped stages included (a long
+    iterative application has ~10^5 of them), but a compiled
+    application stores only its active ones; :class:`StageView` builds
+    a skipped stage each time it is read.  So a stage is an immutable
+    named tuple: no per-instance ``__dict__``, and built about four
+    times faster than a frozen dataclass, whose ``__init__`` sets each
+    field through ``object.__setattr__``.  Assigning or deleting an
     attribute raises :class:`~dataclasses.FrozenInstanceError`, as on a
     frozen dataclass.
 
@@ -107,12 +111,110 @@ class Job:
 
     id: int
     spec: JobSpec
-    stage_ids: tuple[int, ...]
+    #: every stage id the job created, skipped ones included
+    stage_ids: range
     active_stage_ids: tuple[int, ...]
 
     @property
     def action(self) -> str:
         return self.spec.action
+
+
+class StageView(Sequence[Stage]):
+    """Every stage of a compiled application, indexed by global stage id.
+
+    Behaves as a read-only list (length, indexing from either end,
+    iteration, equality with any sequence of equal stages) but stores
+    only the active stages.  A skipped stage is rebuilt when it is read,
+    because each of its fields follows from its job and its shuffle
+    dependency: the output RDD is the dependency's parent (the job's
+    target for the result stage), the parent ids map the RDD's shuffle
+    frontier to the stages the same job created for those shuffles, and
+    it runs nothing (``seq == -1``, empty pipeline and reads).
+
+    ``shuffle_deps[j]`` lists job ``j``'s shuffle dependencies in the
+    order the job created their stages, so job ``j``'s stage ``first +
+    k`` is map stage ``k`` and its last stage is the result stage.
+    ``frontiers`` maps the id of every stage's output RDD to its
+    untruncated shuffle frontier, sorted by shuffle id.
+    """
+
+    __slots__ = ("_jobs", "_shuffle_deps", "_frontiers", "_active", "_firsts", "_len", "_memo")
+
+    def __init__(
+        self,
+        jobs: Sequence[Job],
+        shuffle_deps: Sequence[tuple[ShuffleDependency, ...]],
+        frontiers: Mapping[int, tuple[ShuffleDependency, ...]],
+        active: Sequence[Stage],
+    ) -> None:
+        self._jobs = jobs
+        self._shuffle_deps = shuffle_deps
+        self._frontiers = frontiers
+        self._active = {stage.id: stage for stage in active}
+        self._firsts = [job.stage_ids.start for job in jobs]
+        self._len = jobs[-1].stage_ids.stop if jobs else 0
+        #: ``(j, _created(j))`` of the last job read: readers such as
+        #: ``stages_to_dot`` look up a job's stages and their parents in
+        #: turn, and the map costs one entry per stage of the job.
+        self._memo: tuple[int, dict[int, int]] = (-1, {})
+
+    def __len__(self) -> int:
+        return self._len
+
+    @overload
+    def __getitem__(self, index: int) -> Stage: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Stage]: ...
+
+    def __getitem__(self, index: int | slice) -> Stage | list[Stage]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        stage_id = index + self._len if index < 0 else index
+        if not 0 <= stage_id < self._len:
+            raise IndexError(f"stage id {index} out of range ({self._len} stages)")
+        stage = self._active.get(stage_id)
+        if stage is None:
+            stage = self._skipped(bisect_right(self._firsts, stage_id) - 1, stage_id)
+        return stage
+
+    def __iter__(self) -> Iterator[Stage]:
+        active = self._active
+        for j, job in enumerate(self._jobs):
+            for stage_id in job.stage_ids:
+                stage = active.get(stage_id)
+                yield self._skipped(j, stage_id) if stage is None else stage
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"StageView({len(self)} stages, {len(self._active)} active)"
+
+    def _created(self, j: int) -> dict[int, int]:
+        """Job ``j``'s map from shuffle id to the stage id it created."""
+        last, created = self._memo
+        if last != j:
+            first = self._firsts[j]
+            created = {dep.shuffle_id: first + k for k, dep in enumerate(self._shuffle_deps[j])}
+            self._memo = (j, created)
+        return created
+
+    def _skipped(self, j: int, stage_id: int) -> Stage:
+        job = self._jobs[j]
+        deps = self._shuffle_deps[j]
+        k = stage_id - self._firsts[j]
+        dep = deps[k] if k < len(deps) else None
+        rdd = job.spec.target if dep is None else dep.parent
+        created = self._created(j)
+        parents = tuple([created[d.shuffle_id] for d in self._frontiers[rdd.id]])
+        return Stage(
+            stage_id, job.id, -1, rdd, (), dep, parents, True,
+            rdd.num_partitions, (), (), (), (), 0.0,
+        )
 
 
 @dataclass

@@ -11,6 +11,7 @@ definition it replaced.
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from operator import attrgetter
 
 import pytest
@@ -95,7 +96,7 @@ class _RecursiveBuilder:
             self.stages.extend(self.resolve(skel) for skel in new)
             jobs.append(Job(
                 id=spec.job_id, spec=spec,
-                stage_ids=tuple(s["id"] for s in new),
+                stage_ids=range(first, len(self.skeletons)),
                 active_stage_ids=tuple(s["id"] for s in new if not s["skipped"]),
             ))
         for rdd_id, after in self.unpersist_after.items():
@@ -312,3 +313,81 @@ class TestSchedAppUnchanged:
     def test_stage_order_and_profiles(self, seed):
         dag = build_dag(generate_application(seed, SCHED_APP))
         assert structural_digest(dag) == SCHED_DIGESTS[seed]
+
+
+class TestSchedAppSize:
+    def test_compiled_dag_stores_only_active_stages(self):
+        # About 10^5 stages, 961 of them active.  Storing a Stage per
+        # stage id took 31.6 MB here; the active stages take about 1.5 MB.
+        app = generate_application(7, SCHED_APP)
+        tracemalloc.start()
+        try:
+            dag = build_dag(app)
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dag.num_stages == 102_625
+        assert traced < 4 * 2**20
+
+
+class TestStageView:
+    """``ApplicationDAG.stages`` stores active stages only but reads as a list."""
+
+    @pytest.fixture(scope="class")
+    def app(self):
+        return generate_application(3, SyntheticConfig(num_jobs=16, partitions=8))
+
+    @pytest.fixture(scope="class")
+    def dag(self, app):
+        return build_dag(app)
+
+    def test_has_skipped_stages(self, dag):
+        assert dag.num_active_stages < dag.num_stages
+
+    def test_two_builds_of_one_app_compare_equal(self, app, dag):
+        other = build_dag(app)
+        assert other.stages is not dag.stages
+        assert other.stages == dag.stages
+        assert other == dag
+
+    def test_different_app_compares_unequal(self, dag):
+        other = build_dag(generate_application(4, SyntheticConfig(num_jobs=16, partitions=8)))
+        assert other.stages != dag.stages
+        assert dag.stages != dag.stages[:-1]
+
+    def test_equals_the_recursive_builders_list(self, app, dag):
+        reference = _RecursiveBuilder(app).build()
+        assert isinstance(reference.stages, list)
+        assert dag.stages == reference.stages
+        assert reference.stages == dag.stages
+        assert dag == reference
+
+    def test_indexes_like_a_list(self, dag):
+        stages = list(dag.stages)
+        n = len(stages)
+        assert len(dag.stages) == n == dag.num_stages
+        assert dag.stages[-1] == stages[-1] and dag.stages[-1].is_result
+        assert dag.stages[-n] == stages[0]
+        assert [dag.stages[i] for i in range(n)] == stages
+        assert dag.stages[3:-2] == stages[3:-2]
+        assert list(reversed(dag.stages)) == stages[::-1]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                dag.stages[index]
+            with pytest.raises(IndexError):
+                stages[index]
+
+    def test_skipped_stages_are_rebuilt_equal(self, dag):
+        skipped = [s for s in dag.stages if s.skipped]
+        assert skipped
+        for stage in skipped:
+            assert dag.stage(stage.id) == stage
+            assert stage.seq == -1 and stage.pipeline == ()
+            assert stage.num_tasks == stage.rdd.num_partitions
+
+    def test_job_stage_ids_are_ranges(self, dag):
+        first = 0
+        for job in dag.jobs:
+            assert job.stage_ids == range(first, first + len(job.stage_ids))
+            first = job.stage_ids.stop
+        assert first == dag.num_stages

@@ -1,14 +1,32 @@
 """Tests for DAG export (networkx + DOT)."""
 
+import hashlib
+import json
+
 import networkx as nx
 import pytest
 
+from repro.dag.dag_builder import build_dag
 from repro.dag.visualize import (
     lineage_graph,
     lineage_to_dot,
     stage_graph,
     stages_to_dot,
 )
+from repro.workloads.base import WorkloadParams
+from repro.workloads.registry import get_workload
+
+#: ``name -> (stages_to_dot, stages_to_dot without skipped, stage_graph)``
+#: digests at default params, pinned when the builder still stored a
+#: Stage per stage id: these exports read every skipped stage.
+PINNED_EXPORTS = {
+    "LP": ("acf1618289eec4a1", "e0fdbffdc32c426d", "a73ff43e479194e4"),
+    "SCC": ("1e439846ee194e79", "9967417e60c3fb6b", "c549673f4f8bc7b1"),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestNetworkxViews:
@@ -51,3 +69,19 @@ class TestDot:
         # Every active stage still present.
         for stage in iterative_dag.active_stages:
             assert f"s{stage.id} " in dot or f"s{stage.id}[" in dot or f"s{stage.id} [" in dot
+
+
+class TestPinnedExports:
+    @pytest.mark.parametrize("name", sorted(PINNED_EXPORTS))
+    def test_skipped_stage_exports_unchanged(self, name):
+        dag = build_dag(get_workload(name).build(WorkloadParams()))
+        assert dag.num_stages - dag.num_active_stages > 600
+        g = stage_graph(dag)
+        graph = json.dumps(
+            [sorted(g.nodes(data=True)), sorted(g.edges())], separators=(",", ":")
+        )
+        assert (
+            _digest(stages_to_dot(dag)),
+            _digest(stages_to_dot(dag, include_skipped=False)),
+            _digest(graph),
+        ) == PINNED_EXPORTS[name]
