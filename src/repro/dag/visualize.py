@@ -50,7 +50,9 @@ def stage_graph(dag: ApplicationDAG) -> nx.DiGraph:
     import networkx
 
     g = networkx.DiGraph()
-    for stage in dag.stages:
+    # Read once: the DAG rebuilds a skipped stage on every read.
+    stages = list(dag.stages)
+    for stage in stages:
         g.add_node(
             stage.id,
             job=stage.job_id,
@@ -59,7 +61,7 @@ def stage_graph(dag: ApplicationDAG) -> nx.DiGraph:
             result=stage.is_result,
             rdd=stage.rdd.name,
         )
-    for stage in dag.stages:
+    for stage in stages:
         for pid in stage.parent_stage_ids:
             g.add_edge(pid, stage.id)
     return g
@@ -85,19 +87,26 @@ def lineage_to_dot(dag: ApplicationDAG) -> str:
 
 
 def stages_to_dot(dag: ApplicationDAG, include_skipped: bool = True) -> str:
-    """Graphviz DOT for the stage view, clustered by job."""
+    """Graphviz DOT for the stage view, clustered by job.
+
+    Without skipped stages only the active ones are read; with them,
+    every stage is read once (the DAG rebuilds a skipped stage on every
+    read)."""
     lines = [
         "digraph stages {",
         "  rankdir=LR;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    for job in dag.jobs:
+    if include_skipped:
+        stages = list(dag.stages)
+        by_job = [[stages[sid] for sid in job.stage_ids] for job in dag.jobs]
+    else:
+        by_job = [[dag.stage(sid) for sid in job.active_stage_ids] for job in dag.jobs]
+        stages = [stage for job_stages in by_job for stage in job_stages]
+    for job, job_stages in zip(dag.jobs, by_job):
         lines.append(f"  subgraph cluster_job{job.id} {{")
         lines.append(f'    label="job {job.id} ({job.action})";')
-        for sid in job.stage_ids:
-            stage = dag.stage(sid)
-            if stage.skipped and not include_skipped:
-                continue
+        for stage in job_stages:
             if stage.skipped:
                 attr = 'style=dashed, color=gray, fontcolor=gray'
                 label = f"stage {stage.id}\\n(skipped)"
@@ -107,12 +116,10 @@ def stages_to_dot(dag: ApplicationDAG, include_skipped: bool = True) -> str:
                 attr = 'style=filled, fillcolor="#dde8f8"' if stage.is_result else ""
             lines.append(f'    s{stage.id} [label="{label}" {attr}];')
         lines.append("  }")
-    for stage in dag.stages:
-        if stage.skipped and not include_skipped:
-            continue
+    drawn = None if include_skipped else {stage.id for stage in stages}
+    for stage in stages:
         for pid in stage.parent_stage_ids:
-            if dag.stage(pid).skipped and not include_skipped:
-                continue
-            lines.append(f"  s{pid} -> s{stage.id};")
+            if drawn is None or pid in drawn:
+                lines.append(f"  s{pid} -> s{stage.id};")
     lines.append("}")
     return "\n".join(lines)

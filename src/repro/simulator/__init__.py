@@ -11,7 +11,6 @@ from repro.simulator.config import (
 from repro.simulator.costmodel import CostModel
 from repro.simulator.engine import SimulationError, SparkSimulator, simulate
 from repro.simulator.failures import (
-    Autoscaler,
     ControlOutage,
     FailurePlan,
     NodeDecommission,
@@ -22,7 +21,6 @@ from repro.simulator.failures import (
 from repro.simulator.metrics import RunMetrics, StageRecord
 
 __all__ = [
-    "Autoscaler",
     "CLUSTERS",
     "ControlOutage",
     "CostModel",

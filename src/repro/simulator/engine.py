@@ -80,12 +80,7 @@ from repro.dag.rdd import RDD, ShuffleDependency
 from repro.dag.structures import Stage
 from repro.policies.scheme import CacheScheme, StageOrders
 from repro.simulator.costmodel import CostModel
-from repro.simulator.failures import (
-    FailurePlan,
-    MembershipEvent,
-    NodeDecommission,
-    NodeJoin,
-)
+from repro.simulator.failures import FailurePlan, NodeJoin
 from repro.simulator.metrics import RunMetrics, StageRecord
 from repro.trace.events import (
     BlockMigrate,
@@ -272,10 +267,7 @@ class SparkSimulator:
         self._plan_stage = None
         self._plan = None
         self._plan_cache = {}
-        # A fresh cluster starts at epoch 0; under tenancy a late arrival's
-        # master starts past it when dead slots were retired at attach,
-        # and those slots must weigh zero in its presence fractions.
-        self._membership_changed = self.cluster.master.epoch > 0
+        self._membership_changed = False
         self._nodes_joined = 0
         self._nodes_decommissioned = 0
         self._rebalanced_blocks = 0
@@ -300,8 +292,6 @@ class SparkSimulator:
             if plan is not None and plan.outages
             else None
         )
-        if plan is not None and plan.autoscaler is not None:
-            plan.autoscaler.reset()
         self._register_workers(now)
 
     def _build_cluster(self) -> Cluster:
@@ -444,37 +434,18 @@ class SparkSimulator:
     # elastic membership
     # ------------------------------------------------------------------
     def _apply_memberships(self, stage: Stage, now: float) -> None:
-        """Scheduled joins/decommissions first, then the autoscaler.
-
-        The autoscaler sees the *post-event* live set and the upcoming
-        stage's slot pressure (runnable tasks / live slots), so a
-        scheduled decommission can immediately provoke a reactive join
-        at the next boundary — but never at the same one (cooldown
-        semantics belong to the scaler, ordering to the engine).
-        """
-        assert self.cluster is not None
+        """Apply the plan's joins and decommissions for this stage."""
         plan = self.failure_plan
         assert plan is not None
-        events: list[MembershipEvent] = list(plan.memberships_at(stage.seq))
-        scaler = plan.autoscaler
-        if scaler is not None:
-            master = self.cluster.master
-            nodes = self.cluster.nodes
-            slots = sum(nodes[i].num_slots for i in master.live_node_ids)
-            pressure = stage.num_tasks / slots if slots else math.inf
-            action = scaler.decide(stage.seq, pressure, len(master.live_node_ids))
-            if action == "join":
-                events.append(NodeJoin(at_seq=stage.seq))
-            elif action == "decommission":
-                events.append(NodeDecommission(at_seq=stage.seq))
-        for event in events:
+        for event in plan.memberships_at(stage.seq):
             if isinstance(event, NodeJoin):
                 self._join_node(event.node_id, now)
             else:
                 self._decommission_node(event.node_id, now)
 
     def _join_node(self, node_id: int | None, now: float) -> None:
-        """Grow the live set by a fresh node or a decommissioned slot."""
+        """Grow the live set by a fresh node or a decommissioned slot:
+        the node enters placement and registers through the §4.4 path."""
         assert self.cluster is not None
         master = self.cluster.master
         if node_id is None:
@@ -485,30 +456,6 @@ class SparkSimulator:
             node = self.cluster.nodes[node_id]  # a decommissioned slot rejoins
         else:
             node = make_worker(self.cluster_config, node_id, self.scheme.policy_factory)
-        self._add_node(node, now)
-
-    def _decommission_node(self, node_id: int | None, now: float) -> None:
-        """Shrink the live set; the node's whole cache is rebalanced."""
-        assert self.cluster is not None
-        master = self.cluster.master
-        live = master.live_node_ids
-        if node_id is None:
-            node_id = live[-1]  # autoscaler shape: shed the newest node
-        if not master.is_live(node_id) or len(live) <= 1:
-            return  # already gone, or the last live node must stay
-        node = master.nodes[node_id]
-        self._remove_node(node_id, now, list(node.memory.blocks()))
-        node.clear()  # the node's stores leave with it
-
-    def _add_node(self, node: WorkerNode, now: float) -> BlockManager:
-        """This driver's side of a join: ``node`` enters placement and
-        registers through the §4.4 path.  Returns its block manager.
-
-        Tenancy calls this once per active application for a shared
-        node, after giving the application a tenant policy on it.
-        """
-        assert self.cluster is not None
-        master = self.cluster.master
         mgr = master.add_node(node)
         mgr.distance_source = self.scheme.reference_distance
         rec = self.recorder
@@ -517,7 +464,7 @@ class SparkSimulator:
         while len(self._live_time) < master.num_nodes:
             self._live_time.append(0.0)
             self._live_since.append(now)
-        self._live_since[node.node_id] = now
+        self._live_since[node_id] = now
         self._membership_changed = True
         self._nodes_joined += 1
         # Placement moved: drop the current-stage plan memo.
@@ -527,25 +474,26 @@ class SparkSimulator:
         # distance table to the new worker, exactly like a replacement.
         self.control.send(
             WorkerRegister(
-                sent_at=now, node_id=node.node_id, reason="join", app_id=self.app_id
+                sent_at=now, node_id=node_id, reason="join", app_id=self.app_id
             ),
             self._deliver_register,
         )
-        return mgr
 
-    def _remove_node(self, node_id: int, now: float, resident: list[Block]) -> None:
-        """This driver's side of a decommission, rebalancing ``resident``
-        (the node's blocks this driver owns) on the way out: the run's
-        :class:`RebalancePolicy` picks which are worth copying to their
-        new homes (priced through the destination's storage channel),
-        the rest die with the node.
-
-        The caller clears the node's stores afterwards — under tenancy
-        only once every active application has taken its blocks.
-        """
+    def _decommission_node(self, node_id: int | None, now: float) -> None:
+        """Shrink the live set, rebalancing the node's cache on the way
+        out: the run's :class:`RebalancePolicy` picks which blocks are
+        worth copying to their new homes (priced through the
+        destination's storage channel), the rest die with the node."""
         assert self.cluster is not None
         master = self.cluster.master
+        live = master.live_node_ids
+        if node_id is None:
+            node_id = live[-1]  # shed the newest node
+        if not master.is_live(node_id) or len(live) <= 1:
+            return  # already gone, or the last live node must stay
         mgr = master.managers[node_id]
+        node = master.nodes[node_id]
+        resident = list(node.memory.blocks())
         rec = self.recorder
         if rec.enabled:
             rec.now = now
@@ -588,6 +536,7 @@ class SparkSimulator:
             ),
             self._deliver_deregister,
         )
+        node.clear()  # the node's stores leave with it
 
     # ------------------------------------------------------------------
     # stage execution
@@ -621,8 +570,8 @@ class SparkSimulator:
         returns the stage's end, or ``None`` to decline.
 
         The loop calls it only while the stage's application runs alone
-        with no arrival or membership event pending, so every slot of a
-        busy node is free at ``start`` and nothing else competes for it.
+        with no arrival pending, so every slot of a busy node is free
+        at ``start`` and nothing else competes for it.
         Three kinds of stage qualify, because each of their tasks ends
         exactly ``fixed`` after it starts:
 
@@ -1227,9 +1176,9 @@ class SparkSimulator:
 
 
 #: Event kinds of :class:`EventLoop`, in their tie order at equal times:
-#: change the cluster first, then finish/advance stages, then admit new
-#: applications.  Slot frees come after every event.
-MEMBER, BARRIER, ARRIVAL = 0, 1, 2
+#: finish/advance stages, then admit new applications.  Slot frees come
+#: after every event.
+BARRIER, ARRIVAL = 0, 1
 
 
 @dataclass(eq=False)
@@ -1256,15 +1205,13 @@ class EventLoop:
     shared node list (the multi-tenant engine's facades do); the loop
     gives each node a task queue and idle slots as the list grows.
 
-    The event heap holds ``(t, kind, key)``: timed membership changes
-    (``key`` indexes the caller's events, applied by
-    ``on_membership(key, t)``), stage barriers and arrivals (``key`` is
-    the application index).  The slot heap holds ``(free_time,
-    node_id)``; at equal times slots come after every event.  Tasks of
-    every application queue FIFO per node in batches ``[app, stage,
-    fixed_cost, partitions]``.  A slot that finds no work parks; the
-    next batch queued on its node wakes it at the queueing time or
-    later.  No slot in the heap is behind an unhandled event, so none
+    The event heap holds ``(t, kind, key)``: stage barriers and
+    arrivals (``key`` is the application index).  The slot heap holds
+    ``(free_time, node_id)``; at equal times slots come after every
+    event.  Tasks of every application queue FIFO per node in batches
+    ``[app, stage, fixed_cost, partitions]``.  A slot that finds no work
+    parks; the next batch queued on its node wakes it at the queueing
+    time or later.  No slot in the heap is behind an unhandled event, so none
     reaches a batch before the time it was queued.
 
     A popped slot *runs until preempted*: it runs its node's next task
@@ -1285,7 +1232,6 @@ class EventLoop:
     def __init__(
         self,
         drivers: Sequence[SparkSimulator],
-        on_membership: Callable[[int, float], None] | None = None,
         on_finish: Callable[[AppRun, float], None] | None = None,
     ) -> None:
         self.apps = [
@@ -1304,31 +1250,21 @@ class EventLoop:
         #: Per active application: (control plane, its delivery heap,
         #: the driver's prefetch heap, the driver's completion step).
         self._pumps: list[tuple[ControlPlane, list, list, Callable]] = []
-        self._on_membership = on_membership
         self._on_finish = on_finish
 
-    def run(
-        self, arrivals: Sequence[float], memberships: Sequence[float] = ()
-    ) -> list[RunMetrics]:
-        """Run to completion: application ``i`` arrives at ``arrivals[i]``,
-        membership event ``j`` fires at ``memberships[j]``.  Returns each
-        application's metrics."""
+    def run(self, arrivals: Sequence[float]) -> list[RunMetrics]:
+        """Run to completion: application ``i`` arrives at ``arrivals[i]``.
+        Returns each application's metrics."""
         events = self.events
         for app, t in zip(self.apps, arrivals):
             heapq.heappush(events, (t, ARRIVAL, app.index))
-        for key, t in enumerate(memberships):
-            heapq.heappush(events, (t, MEMBER, key))
         slots = self.slots
         while events or slots:
             if slots and (not events or slots[0][0] < events[0][0]):
                 self._run_slots()
                 continue
             t, kind, key = heapq.heappop(events)
-            if kind == MEMBER:
-                assert self._on_membership is not None
-                self._on_membership(key, t)
-                self._sync_nodes(t)
-            elif kind == BARRIER:
+            if kind == BARRIER:
                 self._on_barrier(self.apps[key], t)
             else:
                 self._on_arrival(self.apps[key], t)
@@ -1398,25 +1334,6 @@ class EventLoop:
                 queues[node_id].append([app, stage, fixed[node_id], deque(partitions)])
                 app.remaining += 1
                 self._wake(node_id, now)
-
-    def rehome(self, node_id: int, now: float) -> None:
-        """Move ``node_id``'s queued batches to their owners' current
-        placement, keeping FIFO order per destination.  The node's slots
-        finish their current task, then park until the node rejoins."""
-        queue = self.queues[node_id] if node_id < len(self.queues) else deque()
-        while queue:
-            app, stage, _, partitions = queue.popleft()
-            driver = app.driver
-            assert driver.cluster is not None
-            place = driver.cluster.master.task_node_id
-            by_node: dict[int, deque[int]] = {}
-            for p in partitions:
-                by_node.setdefault(place(p), deque()).append(p)
-            fixed = driver._stage_costs(stage)
-            app.remaining += len(by_node) - 1
-            for dest, moved in by_node.items():
-                self.queues[dest].append([app, stage, fixed[dest], moved])
-                self._wake(dest, now)
 
     def _sync_nodes(self, now: float) -> None:
         """Give every node that joined since the last call a queue and

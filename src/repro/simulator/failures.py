@@ -1,4 +1,4 @@
-"""Failure and membership injection: cache loss, churn, autoscaling.
+"""Failure and membership injection: cache loss and churn.
 
 The paper's fault-tolerance story (§4.4): when a worker fails, its
 local reference-distance profile is lost and the MRDmanager re-issues
@@ -12,10 +12,9 @@ Beyond in-place failures, a plan also schedules *membership* changes:
 :class:`NodeJoin` grows the live set (a fresh node registers through
 the §4.4 path and starts taking placement), :class:`NodeDecommission`
 permanently removes a node (its cache is rebalanced or dropped by the
-engine's :class:`~repro.cluster.rebalance.RebalancePolicy`).  An
-optional reactive :class:`Autoscaler` emits the same events from slot
-pressure observed *inside* the run — seeded and deterministic, so
-elastic runs replay byte-identically.
+engine's :class:`~repro.cluster.rebalance.RebalancePolicy`).
+:func:`build_churn_plan` draws such events from one seed, so churned
+runs replay byte-identically.
 
 Injected failures let the tests assert the two properties that matter:
 the run still completes with correct accounting, and the policy's
@@ -108,11 +107,11 @@ class NodeDecommission:
     """Permanently remove a node before active stage ``at_seq``.
 
     ``None`` lets the engine pick the highest live node id — the shape
-    an autoscaler produces, and robust to plans built before the run's
-    membership history is known.  Unlike :class:`NodeFailure` the node
-    does not come back: its cached blocks are handed to the engine's
-    rebalance policy (migrate the most-urgent, drop the rest) and it
-    stops being a placement target.
+    :func:`build_churn_plan` writes, and robust to plans built before
+    the run's membership history is known.  Unlike :class:`NodeFailure`
+    the node does not come back: its cached blocks are handed to the
+    engine's rebalance policy (migrate the most-urgent, drop the rest)
+    and it stops being a placement target.
     """
 
     at_seq: int
@@ -129,69 +128,6 @@ MembershipEvent = NodeJoin | NodeDecommission
 
 
 @dataclass
-class Autoscaler:
-    """Reactive membership policy: slot pressure in, churn events out.
-
-    At every stage boundary the engine reports the *slot pressure* of
-    the upcoming stage — runnable tasks divided by live slots — and the
-    autoscaler answers with ``"join"``, ``"decommission"`` or ``None``.
-    Pressure above ``scale_up_at`` adds a node (until ``max_nodes``),
-    below ``scale_down_at`` removes one (until ``min_nodes``), with a
-    ``cooldown`` of stage boundaries between actions so one burst does
-    not trigger a join cascade.
-
-    Optional ``jitter`` perturbs both thresholds per decision through a
-    seeded :class:`random.Random` — deterministic for a given ``seed``,
-    so autoscaled runs still replay byte-identically.
-    """
-
-    min_nodes: int = 1
-    max_nodes: int = 16
-    scale_up_at: float = 1.5
-    scale_down_at: float = 0.25
-    cooldown: int = 2
-    jitter: float = 0.0
-    seed: int = 0
-    _rng: random.Random = field(init=False, repr=False, compare=False)
-    _last_action: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.min_nodes < 1:
-            raise ValueError("min_nodes must be at least 1")
-        if self.max_nodes < self.min_nodes:
-            raise ValueError("max_nodes must be >= min_nodes")
-        if self.scale_down_at >= self.scale_up_at:
-            raise ValueError("scale_down_at must be below scale_up_at")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        self.reset()
-
-    def reset(self) -> None:
-        """Rearm for a fresh run (the engine calls this at run start, so
-        one plan object drives identical decisions in every run)."""
-        self._rng = random.Random(self.seed)
-        self._last_action = -(10**9)
-
-    def decide(self, seq: int, pressure: float, live_count: int) -> str | None:
-        """``"join"``, ``"decommission"`` or ``None`` for this boundary."""
-        if seq - self._last_action <= self.cooldown:
-            return None
-        up, down = self.scale_up_at, self.scale_down_at
-        if self.jitter > 0:
-            up *= 1.0 + self._rng.uniform(-self.jitter, self.jitter)
-            down *= 1.0 + self._rng.uniform(-self.jitter, self.jitter)
-        if pressure > up and live_count < self.max_nodes:
-            self._last_action = seq
-            return "join"
-        if pressure < down and live_count > self.min_nodes:
-            self._last_action = seq
-            return "decommission"
-        return None
-
-
-@dataclass
 class FailurePlan:
     """A schedule of failures and membership changes, applied at stage
     boundaries."""
@@ -199,7 +135,6 @@ class FailurePlan:
     failures: list[NodeFailure] = field(default_factory=list)
     outages: list[ControlOutage] = field(default_factory=list)
     memberships: list[MembershipEvent] = field(default_factory=list)
-    autoscaler: Autoscaler | None = None
 
     def add(self, at_seq: int, node_id: int, lose_disk: bool = False) -> FailurePlan:
         self.failures.append(NodeFailure(at_seq=at_seq, node_id=node_id, lose_disk=lose_disk))
@@ -234,8 +169,8 @@ class FailurePlan:
 
     @property
     def elastic(self) -> bool:
-        """True if this plan can change membership (events or autoscaler)."""
-        return bool(self.memberships) or self.autoscaler is not None
+        """True if this plan changes membership."""
+        return bool(self.memberships)
 
     def control_loss(self, seq: int, node_id: int | None) -> float:
         """Worst outage loss rate covering (``seq``, ``node_id``)."""
@@ -260,7 +195,7 @@ class FailurePlan:
                 )
             if not cluster.master.is_live(failure.node_id):
                 # The target was decommissioned before its failure came
-                # due (possible under autoscaled churn): nothing to lose.
+                # due (a churn plan may schedule both): nothing to lose.
                 continue
             mgr = cluster.master.managers[failure.node_id]
             node = mgr.node

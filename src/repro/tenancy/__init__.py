@@ -20,22 +20,8 @@ from repro.tenancy.arbitration import (
     namespace_of,
     owner_of,
 )
-from repro.tenancy.arrivals import (
-    ARRIVAL_KINDS,
-    ArrivalProcess,
-    EmpiricalArrivals,
-    FixedArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    build_arrivals,
-)
-from repro.tenancy.engine import (
-    AppSpec,
-    MultiTenantSimulator,
-    TimedNodeDecommission,
-    TimedNodeJoin,
-    simulate_multi_tenant,
-)
+from repro.tenancy.arrivals import ArrivalProcess, FixedArrivals, PoissonArrivals
+from repro.tenancy.engine import AppSpec, MultiTenantSimulator, simulate_multi_tenant
 from repro.tenancy.metrics import (
     MultiTenantMetrics,
     mt_metrics_from_dict,
@@ -45,12 +31,10 @@ from repro.tenancy.metrics import (
 
 __all__ = [
     "ARBITRATIONS",
-    "ARRIVAL_KINDS",
     "AppSpec",
     "ArbitratedNodePolicy",
     "ArbitrationPolicy",
     "ArrivalProcess",
-    "EmpiricalArrivals",
     "FixedArrivals",
     "GlobalDistance",
     "MultiTenantMetrics",
@@ -59,12 +43,8 @@ __all__ = [
     "RDD_NAMESPACE_STRIDE",
     "StaticShares",
     "TenantStoreView",
-    "TimedNodeDecommission",
-    "TimedNodeJoin",
-    "TraceArrivals",
     "VictimCandidate",
     "build_arbitration",
-    "build_arrivals",
     "mt_metrics_from_dict",
     "mt_metrics_to_dict",
     "namespace_of",

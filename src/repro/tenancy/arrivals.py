@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import abc
 import random
-from collections.abc import Sequence
 
 
 class ArrivalProcess(abc.ABC):
@@ -75,83 +74,3 @@ class PoissonArrivals(ArrivalProcess):
             t += rng.expovariate(self.rate)
             out.append(t)
         return out
-
-
-class TraceArrivals(ArrivalProcess):
-    """Replay recorded interarrival gaps, cycling when the trace is short.
-
-    ``interarrivals`` are the gaps between consecutive submissions of a
-    real cluster trace (seconds); the first application arrives after
-    the first gap, mirroring :class:`PoissonArrivals`' convention.
-    """
-
-    name = "trace"
-
-    def __init__(self, interarrivals: Sequence[float], start: float = 0.0) -> None:
-        gaps = [float(g) for g in interarrivals]
-        if not gaps:
-            raise ValueError("trace arrivals need at least one interarrival gap")
-        if any(g < 0 for g in gaps):
-            raise ValueError("interarrival gaps must be non-negative")
-        if start < 0:
-            raise ValueError("start must be non-negative")
-        self.interarrivals = gaps
-        self.start = start
-
-    def times(self, n: int) -> list[float]:
-        self._check(n)
-        t = self.start
-        out: list[float] = []
-        for i in range(n):
-            t += self.interarrivals[i % len(self.interarrivals)]
-            out.append(t)
-        return out
-
-
-class EmpiricalArrivals(ArrivalProcess):
-    """Seeded bootstrap over recorded interarrival gaps.
-
-    Unlike :class:`TraceArrivals` (which replays the gap sequence
-    verbatim), this resamples gaps with replacement — the trace's
-    burstiness is preserved in distribution while the specific ordering
-    is broken, which is the standard way to generate "more load like
-    this trace" than the trace itself contains.
-    """
-
-    name = "empirical"
-
-    def __init__(self, interarrivals: Sequence[float], seed: int = 0) -> None:
-        gaps = [float(g) for g in interarrivals]
-        if not gaps:
-            raise ValueError("empirical arrivals need at least one gap")
-        if any(g < 0 for g in gaps):
-            raise ValueError("interarrival gaps must be non-negative")
-        self.interarrivals = gaps
-        self.seed = seed
-
-    def times(self, n: int) -> list[float]:
-        self._check(n)
-        rng = random.Random(self.seed)
-        t = 0.0
-        out: list[float] = []
-        for _ in range(n):
-            t += rng.choice(self.interarrivals)
-            out.append(t)
-        return out
-
-
-#: Arrival-process kinds the CLI and experiment drivers resolve against.
-ARRIVAL_KINDS: tuple[str, ...] = ("fixed", "poisson", "trace", "empirical")
-
-
-def build_arrivals(kind: str, **kwargs) -> ArrivalProcess:
-    """Construct an arrival process by kind name (CLI helper)."""
-    if kind == "fixed":
-        return FixedArrivals(**kwargs)
-    if kind == "poisson":
-        return PoissonArrivals(**kwargs)
-    if kind == "trace":
-        return TraceArrivals(**kwargs)
-    if kind == "empirical":
-        return EmpiricalArrivals(**kwargs)
-    raise ValueError(f"unknown arrival kind {kind!r}; choose from {ARRIVAL_KINDS}")

@@ -21,16 +21,17 @@ One event loop
 --------------
 Scheduling is the standalone engine's own loop,
 :class:`~repro.simulator.engine.EventLoop`: a standalone run is a
-one-tenant run of it, and this engine hands it N applications, their
-arrival times and the timed membership events.  At equal times the
-loop orders membership < barrier < arrival < slot, then application
-index / node id, so the interleaving is fully deterministic.  Executor
-slots are continuous shared resources: tasks from all applications
-queue FIFO per node and any free slot runs the head task; before a task
-runs, every active application's control plane and due prefetches are
-pumped (in arrival order).  What this engine keeps is the shared
-cluster (tenant registration, per-app cluster facades, the eviction
-router), timed churn and teardown.
+one-tenant run of it, and this engine hands it N applications and
+their arrival times.  At equal times the loop orders barrier < arrival
+< slot, then application index / node id, so the interleaving is fully
+deterministic.  Executor slots are continuous shared resources: tasks
+from all applications queue FIFO per node and any free slot runs the
+head task; before a task runs, every active application's control
+plane and due prefetches are pumped (in arrival order).  What this
+engine keeps is the shared cluster (tenant registration, per-app
+cluster facades, the eviction router) and teardown.  The shared
+cluster is static: its membership never changes, and every
+application places blocks over it with the stride placement.
 
 With a single application the loop makes the standalone engine's
 scheduling decisions exactly — the equivalence suite asserts the full
@@ -42,23 +43,6 @@ stores and its tenant policies are deregistered — a finished tenant
 neither holds cache nor participates in arbitration.  Its compiled
 task plans are freed too: each application's DAG is built for this
 stream alone, so nothing could reuse them.
-
-Elastic membership
-------------------
-Unlike the single-application engine's stage-boundary churn, a shared
-cluster changes size at wall-clock *times*: :class:`TimedNodeJoin` and
-:class:`TimedNodeDecommission` fire from the loop's event heap,
-mid-stage if need be.  A join appends one shared worker node, gives
-every active application a tenant policy on it, and runs each driver's
-own side of the join, :meth:`SparkSimulator._add_node` (its §4.4
-``WorkerRegister``, answered with the current distance table).  A
-decommission runs each driver's :meth:`SparkSimulator._remove_node`
-over that application's resident blocks on the node (its
-:class:`~repro.cluster.rebalance.RebalancePolicy` picks what
-migrates), clears the node's stores, and has the loop re-home its
-queued tasks through each owner's placement.  Applications arriving
-later build their block-manager masters over the then-current live
-set.
 """
 
 from __future__ import annotations
@@ -68,10 +52,8 @@ from dataclasses import dataclass
 
 from repro.cluster.block_manager import BlockManager
 from repro.cluster.block_manager_master import BlockManagerMaster
-from repro.cluster.cluster import Cluster, ClusterConfig, build_cluster, make_worker
+from repro.cluster.cluster import Cluster, ClusterConfig, build_cluster
 from repro.cluster.node import WorkerNode
-from repro.cluster.placement import PLACEMENTS
-from repro.cluster.rebalance import REBALANCES
 from repro.control.plane import RpcConfig
 from repro.dag.dag_builder import build_dag
 from repro.policies.base import EvictionPolicy
@@ -90,44 +72,6 @@ from repro.tenancy.arrivals import ArrivalProcess, FixedArrivals
 from repro.tenancy.metrics import MultiTenantMetrics
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import build_workload
-
-
-@dataclass(frozen=True)
-class TimedNodeJoin:
-    """Grow the shared cluster at simulated time ``at``.
-
-    ``node_id`` pins the joining node's id (a decommissioned slot may
-    rejoin); ``None`` opens the next fresh slot.
-    """
-
-    at: float
-    node_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("at must be non-negative")
-        if self.node_id is not None and self.node_id < 0:
-            raise ValueError("node_id must be non-negative")
-
-
-@dataclass(frozen=True)
-class TimedNodeDecommission:
-    """Permanently remove a shared node at simulated time ``at``.
-
-    ``None`` sheds the highest live node id (the autoscaler shape).
-    """
-
-    at: float
-    node_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ValueError("at must be non-negative")
-        if self.node_id is not None and self.node_id < 0:
-            raise ValueError("node_id must be non-negative")
-
-
-TimedMembershipEvent = TimedNodeJoin | TimedNodeDecommission
 
 
 @dataclass(frozen=True)
@@ -169,9 +113,6 @@ class _AppDriver(SparkSimulator):
     :meth:`_apply_table` (routed to this application's own tenant
     policy rather than the node's composite policy), which a delivered
     broadcast and a synchronous plane's direct call both go through.
-    Joins and decommissions reuse the standalone per-driver steps
-    unchanged (``_add_node``/``_remove_node``); the tenancy engine only
-    adds the shared-node parts around them.
     """
 
     def __init__(
@@ -211,37 +152,19 @@ class MultiTenantSimulator:
         arbitration: str | ArbitrationPolicy = "static",
         control_plane: str = "instant",
         control_config: RpcConfig | None = None,
-        placement: str = "stride",
-        memberships: list[TimedMembershipEvent] | tuple[TimedMembershipEvent, ...] = (),
-        rebalance: str = "drop",
     ) -> None:
         if not apps:
             raise ValueError("a multi-tenant run needs at least one application")
-        if placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement {placement!r} (choose from {PLACEMENTS})")
-        if rebalance not in REBALANCES:
-            raise ValueError(f"unknown rebalance {rebalance!r} (choose from {REBALANCES})")
-        for event in memberships:
-            if not isinstance(event, (TimedNodeJoin, TimedNodeDecommission)):
-                raise TypeError(
-                    "memberships must be TimedNodeJoin/TimedNodeDecommission, "
-                    f"got {event!r}"
-                )
         self.apps = tuple(apps)
         self.cluster_config = cluster_config
         self.arrivals = arrivals if arrivals is not None else FixedArrivals()
         self.arbitration = build_arbitration(arbitration)
         self.control_plane = control_plane
         self.control_config = control_config
-        self.placement = placement
-        self.memberships = tuple(memberships)
-        self.rebalance = rebalance
         # Per-run state, rebuilt by _setup() and kept after run() so the
         # drained cluster can be inspected.
-        #: The shared worker nodes (decommissioned slots stay listed).
+        #: The shared worker nodes.
         self._nodes: list[WorkerNode] = []
-        #: Node ids decommissioned so far (slots persist; liveness does not).
-        self._dead: set[int] = set()
         #: Each application's block-manager master while it is active.
         self._masters: list[BlockManagerMaster | None] = []
         self._loop: EventLoop | None = None
@@ -255,7 +178,7 @@ class MultiTenantSimulator:
             raise ValueError("arrival times must be non-decreasing")
         if any(t < 0 for t in times):
             raise ValueError("arrival times must be non-negative")
-        apps = tuple(loop.run(times, [event.at for event in self.memberships]))
+        apps = tuple(loop.run(times))
         makespan = max((app.finish for app in loop.apps), default=0.0)
         return MultiTenantMetrics(
             arbitration=self.arbitration.name,
@@ -276,7 +199,6 @@ class MultiTenantSimulator:
             lambda node_id: ArbitratedNodePolicy(self.arbitration),
         )
         self._nodes = base.nodes
-        self._dead = set()
         self._masters = [None for _ in self.apps]
         drivers = [
             _AppDriver(
@@ -291,14 +213,10 @@ class MultiTenantSimulator:
                 resolve_scheme(spec.scheme).build(),
                 control_plane=self.control_plane,
                 control_config=self.control_config,
-                placement=self.placement,
-                rebalance=self.rebalance,
             )
             for index, spec in enumerate(self.apps)
         ]
-        self._loop = EventLoop(
-            drivers, on_membership=self._on_membership, on_finish=self._teardown
-        )
+        self._loop = EventLoop(drivers, on_finish=self._teardown)
         return self._loop
 
     def _attach(self, driver: _AppDriver) -> Cluster:
@@ -306,39 +224,21 @@ class MultiTenantSimulator:
         per-app cluster facade over the shared nodes."""
         driver._tenant_policies = []
         for node in self._nodes:
-            self._register_tenant(driver, node.node_id)
-        master = BlockManagerMaster(self._nodes, placement=self.placement)
-        # A late arrival joins the cluster as it is *now*: nodes already
-        # decommissioned are dead slots from this application's first
-        # breath (they never take placement, never run its tasks).
-        for node_id in sorted(self._dead):
-            master.decommission_node(node_id)
+            policy = driver.scheme.policy_factory(node.node_id)
+            driver._tenant_policies.append(policy)
+            composite = node.policy
+            assert isinstance(composite, ArbitratedNodePolicy)
+            composite.register_tenant(
+                driver.app_id,
+                policy,
+                share=self.apps[driver.app_id].share,
+                distance_of=driver.scheme.reference_distance,
+            )
+        master = BlockManagerMaster(self._nodes)
         for mgr in master.managers:
             mgr.eviction_router = self._router_for(mgr.node.node_id)
         self._masters[driver.app_id] = master
         return Cluster(config=self.cluster_config, nodes=self._nodes, master=master)
-
-    def _register_tenant(self, driver: _AppDriver, node_id: int) -> None:
-        """Give ``driver`` a tenant policy on shared node ``node_id``.
-
-        A rejoining slot keeps the (emptied) policy it already has,
-        exactly like the standalone engine reuses a decommissioned
-        node's policy.
-        """
-        policies = driver._tenant_policies
-        if node_id < len(policies):
-            return
-        assert node_id == len(policies), "shared nodes join one at a time"
-        policy = driver.scheme.policy_factory(node_id)
-        policies.append(policy)
-        composite = self._nodes[node_id].policy
-        assert isinstance(composite, ArbitratedNodePolicy)
-        composite.register_tenant(
-            driver.app_id,
-            policy,
-            share=self.apps[driver.app_id].share,
-            distance_of=driver.scheme.reference_distance,
-        )
 
     def _router_for(self, node_id: int):
         """Eviction router: charge an evicted block to its owner app."""
@@ -352,68 +252,6 @@ class MultiTenantSimulator:
             return None
 
         return route
-
-    # ------------------------------------------------------------------
-    # elastic membership
-    # ------------------------------------------------------------------
-    def _on_membership(self, index: int, t: float) -> None:
-        event = self.memberships[index]
-        if isinstance(event, TimedNodeJoin):
-            self._join_shared_node(event.node_id, t)
-        else:
-            self._decommission_shared_node(event.node_id, t)
-
-    def _join_shared_node(self, node_id: int | None, t: float) -> None:
-        """Grow the shared node set; every active application takes the
-        newcomer as a tenant target and registers it (its own §4.4
-        path)."""
-        nodes = self._nodes
-        if node_id is None:
-            node_id = len(nodes)
-        if node_id < len(nodes):
-            if node_id not in self._dead:
-                return  # pinned join of a live node: nothing to do
-            node = nodes[node_id]  # a decommissioned slot rejoins
-            self._dead.discard(node_id)
-        elif node_id == len(nodes):
-            node = make_worker(
-                self.cluster_config,
-                node_id,
-                lambda nid: ArbitratedNodePolicy(self.arbitration),
-            )
-            nodes.append(node)
-        else:
-            raise ValueError(
-                f"join of node {node_id} does not extend the cluster "
-                f"(next free id is {len(nodes)})"
-            )
-        assert self._loop is not None
-        for app in self._loop.active:
-            driver = app.driver
-            assert isinstance(driver, _AppDriver)
-            self._register_tenant(driver, node_id)
-            mgr = driver._add_node(node, t)
-            mgr.eviction_router = self._router_for(node_id)
-
-    def _decommission_shared_node(self, node_id: int | None, t: float) -> None:
-        """Retire a shared node: each active application rebalances its
-        resident blocks through its own policy and placement; then the
-        node's stores clear and its queued tasks re-home."""
-        nodes = self._nodes
-        live = [i for i in range(len(nodes)) if i not in self._dead]
-        if node_id is None:
-            node_id = live[-1]  # autoscaler shape: shed the newest node
-        if node_id in self._dead or node_id >= len(nodes) or len(live) <= 1:
-            return  # already gone, unknown, or the last node must stay
-        node = nodes[node_id]
-        assert self._loop is not None
-        for app in self._loop.active:
-            lo, hi = namespace_of(app.index)
-            resident = [b for b in node.memory.blocks() if lo <= b.id.rdd_id < hi]
-            app.driver._remove_node(node_id, t, resident)
-        node.clear()  # the node's stores leave with it
-        self._dead.add(node_id)
-        self._loop.rehome(node_id, t)
 
     # ------------------------------------------------------------------
     def _teardown(self, app: AppRun, t: float) -> None:

@@ -103,7 +103,8 @@ def build_workload(
 
     Keyword arguments are forwarded to :class:`WorkloadParams` when no
     explicit ``params`` is given (``scale=``, ``iterations=``,
-    ``partitions=``, ``seed=``).  ``first_rdd_id`` offsets the rdd-id
+    ``partitions=``; ``seed=`` is accepted but no builder reads it, see
+    :class:`WorkloadParams`).  ``first_rdd_id`` offsets the rdd-id
     namespace (multi-tenant builds).
     """
     if params is not None and kwargs:

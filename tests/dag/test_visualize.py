@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 from repro.dag.dag_builder import build_dag
+from repro.dag.structures import StageView
 from repro.dag.visualize import (
     lineage_graph,
     lineage_to_dot,
@@ -15,6 +16,8 @@ from repro.dag.visualize import (
 )
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload
+from repro.workloads.synthetic import generate_application
+from tests.dag.test_build_stability import SCHED_APP
 
 #: ``name -> (stages_to_dot, stages_to_dot without skipped, stage_graph)``
 #: digests at default params, pinned when the builder still stored a
@@ -85,3 +88,36 @@ class TestPinnedExports:
             _digest(stages_to_dot(dag, include_skipped=False)),
             _digest(graph),
         ) == PINNED_EXPORTS[name]
+
+
+class TestSkippedStageReads:
+    """The sched-bound app has ~10^5 stages, fewer than 1% active, and
+    the DAG rebuilds a skipped stage on every read: an export reads
+    none of them without skipped stages, each at most once with them."""
+
+    @pytest.fixture(scope="class")
+    def sched_dag(self):
+        return build_dag(generate_application(7, SCHED_APP))
+
+    @pytest.fixture
+    def rebuilt(self, monkeypatch) -> list[int]:
+        """Ids of the skipped stages rebuilt while the test runs."""
+        seen: list[int] = []
+        skipped = StageView._skipped
+
+        def counting(view, j, stage_id):
+            seen.append(stage_id)
+            return skipped(view, j, stage_id)
+
+        monkeypatch.setattr(StageView, "_skipped", counting)
+        return seen
+
+    def test_dot_without_skipped_rebuilds_none(self, sched_dag, rebuilt):
+        stages_to_dot(sched_dag, include_skipped=False)
+        assert rebuilt == []
+
+    @pytest.mark.parametrize("export", [stages_to_dot, stage_graph])
+    def test_full_exports_rebuild_each_skipped_stage_once(self, sched_dag, rebuilt, export):
+        export(sched_dag)
+        assert len(rebuilt) == len(set(rebuilt))
+        assert len(rebuilt) <= sched_dag.num_stages - sched_dag.num_active_stages

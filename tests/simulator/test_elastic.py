@@ -3,9 +3,9 @@
 Covers the join/decommission lifecycle end to end: scheduler-core
 equivalence under churn, the static-membership guardrail (no churn +
 stride placement must be byte-identical to the pre-elastic engine),
-autoscaler determinism, drop-vs-migrate accounting, presence-weighted
-hit ratios, the §4.4 exactly-once table resend under lossy control, and
-trace record/replay of the membership events.
+drop-vs-migrate accounting, presence-weighted hit ratios, the §4.4
+exactly-once table resend under lossy control, and trace record/replay
+of the membership events.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from repro.control.plane import RpcConfig
 from repro.experiments.harness import build_workload_dag, cache_mb_for
 from repro.simulator.engine import simulate
-from repro.simulator.failures import Autoscaler, FailurePlan, build_churn_plan
+from repro.simulator.failures import FailurePlan, build_churn_plan
 from repro.simulator.metrics import RunMetrics
 from repro.simulator.reporting import metrics_from_dict, metrics_to_dict
 from repro.sweep.schemes import resolve_scheme
@@ -136,8 +136,8 @@ def test_drop_loses_blocks_migrate_carries_them():
 
 
 def test_failure_of_decommissioned_node_is_skipped():
-    """An autoscaler can decommission a node before its scheduled
-    failure comes due; the failure must be a no-op, not a crash."""
+    """A plan may decommission a node before a failure scheduled on it
+    comes due; the failure must then be a no-op, not a crash."""
     dag = _dag()
     plan = (FailurePlan()
             .add_decommission(at_seq=2, node_id=3)
@@ -151,38 +151,6 @@ def test_unknown_placement_rejected():
     dag = _dag()
     with pytest.raises(ValueError, match="placement must be one of"):
         simulate(dag, _cfg(dag), resolve_scheme("lru").build(), placement="bogus")
-
-
-# ----------------------------------------------------------------------
-# autoscaler: reactive but deterministic
-# ----------------------------------------------------------------------
-def _autoscaled_plan() -> FailurePlan:
-    # Thresholds far below real pressure (8 tasks / 8+ slots = ~1.0), so
-    # scale-ups fire deterministically; jitter exercises the seeded RNG.
-    return FailurePlan(autoscaler=Autoscaler(
-        min_nodes=2, max_nodes=6, scale_up_at=0.05, scale_down_at=0.01,
-        cooldown=1, jitter=0.2, seed=7,
-    ))
-
-
-def test_autoscaler_grows_the_cluster():
-    dag = _dag()
-    m = simulate(dag, _cfg(dag), resolve_scheme("mrd").build(),
-                 failure_plan=_autoscaled_plan(), placement="rendezvous")
-    assert m.nodes_joined > 0
-
-
-def test_autoscaler_replays_identically():
-    """One plan object, three runs: reset() must rearm the RNG so every
-    run draws the same decisions (and both cores agree)."""
-    dag = _dag()
-    cfg = _cfg(dag)
-    plan = _autoscaled_plan()
-    first = run_both(dag, cfg, "mrd", failure_plan=plan,
-                     placement="rendezvous")
-    again = fingerprint(simulate(dag, cfg, resolve_scheme("mrd").build(),
-                                 failure_plan=plan, placement="rendezvous"))
-    assert first[0] == first[1] == again
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,9 @@ from collections.abc import Callable, Sequence
 from repro.dag.structures import Stage
 from repro.simulator.engine import AppRun, SparkSimulator
 
-#: Kind priorities at equal times: change the cluster first, then
-#: finish/advance stages, then admit new applications, then run tasks.
-MEMBER, BARRIER, ARRIVAL, SLOT = 0, 1, 2, 3
+#: Kind priorities at equal times: finish/advance stages, then admit
+#: new applications, then run tasks.
+BARRIER, ARRIVAL, SLOT = 0, 1, 2
 
 #: One queued task: (not_before, app_index, stage, partition, fixed_cost).
 QueueItem = tuple[float, int, Stage, int, float]
@@ -36,7 +36,6 @@ class PerTaskLoop:
     def __init__(
         self,
         drivers: Sequence[SparkSimulator],
-        on_membership: Callable[[int, float], None] | None = None,
         on_finish: Callable[[AppRun, float], None] | None = None,
     ) -> None:
         self.apps = [
@@ -47,20 +46,14 @@ class PerTaskLoop:
         self.heap: list[tuple[float, int, int]] = []
         self.queues: list[deque[QueueItem]] = []
         self.parked: list[list[float]] = []
-        self._on_membership = on_membership
         self._on_finish = on_finish
 
-    def run(self, arrivals: Sequence[float], memberships: Sequence[float] = ()) -> list:
+    def run(self, arrivals: Sequence[float]) -> list:
         for app, t in zip(self.apps, arrivals):
             heapq.heappush(self.heap, (t, ARRIVAL, app.index))
-        for key, t in enumerate(memberships):
-            heapq.heappush(self.heap, (t, MEMBER, key))
         while self.heap:
             t, kind, key = heapq.heappop(self.heap)
-            if kind == MEMBER:
-                assert self._on_membership is not None
-                self._on_membership(key, t)
-            elif kind == BARRIER:
+            if kind == BARRIER:
                 self._on_barrier(self.apps[key], t)
             elif kind == ARRIVAL:
                 self._on_arrival(self.apps[key], t)
@@ -133,17 +126,6 @@ class PerTaskLoop:
                 )
             if partitions:
                 self._wake(node_id, now)
-
-    def rehome(self, node_id: int, now: float) -> None:
-        queue = self.queues[node_id] if node_id < len(self.queues) else deque()
-        while queue:
-            not_before, app_index, stage, partition, _ = queue.popleft()
-            driver = self.apps[app_index].driver
-            self._grow(driver.cluster.nodes, now)
-            dest = driver.cluster.master.task_node_id(partition)
-            fixed = driver._stage_costs(stage)[dest]
-            self.queues[dest].append((not_before, app_index, stage, partition, fixed))
-            self._wake(dest, now)
 
     def _grow(self, nodes, now: float) -> None:
         while len(self.parked) < len(nodes):

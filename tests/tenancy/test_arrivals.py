@@ -4,20 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tenancy.arrivals import (
-    ARRIVAL_KINDS,
-    EmpiricalArrivals,
-    FixedArrivals,
-    PoissonArrivals,
-    TraceArrivals,
-    build_arrivals,
-)
+from repro.tenancy.arrivals import FixedArrivals, PoissonArrivals
 
 ALL_PROCESSES = [
     FixedArrivals(interval=5.0, start=2.0),
     PoissonArrivals(rate=0.2, seed=11),
-    TraceArrivals([1.0, 3.0, 0.5]),
-    EmpiricalArrivals([1.0, 3.0, 0.5], seed=4),
 ]
 
 
@@ -69,40 +60,3 @@ class TestPoisson:
     def test_rejects_non_positive_rate(self):
         with pytest.raises(ValueError):
             PoissonArrivals(rate=0.0)
-
-
-class TestTrace:
-    def test_cycles_when_short(self):
-        times = TraceArrivals([1.0, 2.0]).times(5)
-        assert times == [1.0, 3.0, 4.0, 6.0, 7.0]
-
-    def test_rejects_empty_and_negative(self):
-        with pytest.raises(ValueError):
-            TraceArrivals([])
-        with pytest.raises(ValueError):
-            TraceArrivals([1.0, -0.5])
-
-
-class TestEmpirical:
-    def test_gaps_drawn_from_trace(self):
-        gaps = [1.0, 3.0]
-        times = EmpiricalArrivals(gaps, seed=2).times(30)
-        drawn = [b - a for a, b in zip([0.0] + times, times)]
-        assert set(round(g, 9) for g in drawn) <= {1.0, 3.0}
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            EmpiricalArrivals([])
-
-
-class TestBuilder:
-    def test_builds_every_kind(self):
-        assert build_arrivals("fixed", interval=1.0).name == "fixed"
-        assert build_arrivals("poisson", rate=0.5).name == "poisson"
-        assert build_arrivals("trace", interarrivals=[1.0]).name == "trace"
-        assert build_arrivals("empirical", interarrivals=[1.0]).name == "empirical"
-        assert set(ARRIVAL_KINDS) == {"fixed", "poisson", "trace", "empirical"}
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown arrival kind"):
-            build_arrivals("weibull")

@@ -1,13 +1,10 @@
 """Pinned digests of dense multi-tenant runs.
 
-The churn pins in ``test_elastic.py`` cover two or three sparse
-applications.  These streams keep eight applications overlapping on a
-small shared cluster — mixed workloads and schemes, Poisson arrivals
-every half second on average, a lossy jittered rpc plane — so the
-interleaving of many applications' tasks, control deliveries and
-prefetch completions on shared slots is pinned under every arbitration.
-One mix also decommissions a node while several applications have
-tasks queued on it, pinning the re-homing of queued work.
+These streams keep eight applications overlapping on a small shared
+cluster — mixed workloads and schemes, Poisson arrivals every half
+second on average, a lossy jittered rpc plane — so the interleaving of
+many applications' tasks, control deliveries and prefetch completions
+on shared slots is pinned under every arbitration.
 """
 
 from __future__ import annotations
@@ -16,13 +13,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.control.plane import RpcConfig
-from repro.tenancy import (
-    AppSpec,
-    MultiTenantSimulator,
-    PoissonArrivals,
-    TimedNodeDecommission,
-    TimedNodeJoin,
-)
+from repro.tenancy import AppSpec, MultiTenantSimulator, PoissonArrivals
 from tests.simulator.run_digest import run_digest
 
 CLUSTER = ClusterConfig(num_nodes=4, slots_per_node=2, cache_mb_per_node=200.0)
@@ -42,7 +33,7 @@ DENSE_APPS = (
 )
 
 
-def dense_mix(arbitration: str, **kwargs) -> MultiTenantSimulator:
+def dense_mix(arbitration: str) -> MultiTenantSimulator:
     return MultiTenantSimulator(
         DENSE_APPS,
         CLUSTER,
@@ -50,39 +41,17 @@ def dense_mix(arbitration: str, **kwargs) -> MultiTenantSimulator:
         arbitration=arbitration,
         control_plane="rpc",
         control_config=LOSSY_RPC,
-        **kwargs,
     )
 
-
-#: The mix whose decommission lands while several applications have
-#: tasks queued on the leaving node (``test_loop.py`` checks that it
-#: does).
-QUEUED_DECOMMISSION = dict(
-    placement="rendezvous",
-    rebalance="migrate",
-    memberships=(
-        TimedNodeJoin(at=1.0),
-        TimedNodeDecommission(at=7.0, node_id=1),
-        TimedNodeJoin(at=13.0, node_id=1),
-    ),
-)
 
 PINNED_DENSE_DIGESTS = {
     "static": "7490c22dd6955904",
     "global-mrd": "764496a0bf88c201",
-    "global-mrd-queued-decommission": "4ee23c1ba4662c1b",
 }
-
-
-def dense_run(case: str):
-    if case.endswith("-queued-decommission"):
-        arbitration = case.removesuffix("-queued-decommission")
-        return dense_mix(arbitration, **QUEUED_DECOMMISSION).run()
-    return dense_mix(case).run()
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_DENSE_DIGESTS))
 def test_dense_mix_digest_is_pinned(case):
-    result = dense_run(case)
+    result = dense_mix(case).run()
     assert len(result.apps) == len(DENSE_APPS)
     assert run_digest(result.apps, (), result.makespan) == PINNED_DENSE_DIGESTS[case]

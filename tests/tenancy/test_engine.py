@@ -12,8 +12,6 @@ from repro.tenancy import (
     FixedArrivals,
     MultiTenantSimulator,
     PoissonArrivals,
-    TimedNodeDecommission,
-    TimedNodeJoin,
     mt_metrics_to_dict,
     simulate_multi_tenant,
 )
@@ -103,12 +101,7 @@ class TestIsolation:
             assert policy._tenants == {}
             assert list(policy.eviction_order(node.memory)) == []
 
-    @pytest.mark.parametrize("kwargs", [
-        {},
-        {"placement": "rendezvous"},
-        {"memberships": (TimedNodeJoin(at=3.0), TimedNodeDecommission(at=9.0))},
-    ], ids=["static", "rendezvous", "churn"])
-    def test_finished_apps_hold_no_plans(self, kwargs, monkeypatch):
+    def test_finished_apps_hold_no_plans(self, monkeypatch):
         compiled = []
         compile_plan = SparkSimulator._compile_plan
 
@@ -117,7 +110,7 @@ class TestIsolation:
             return compile_plan(driver, stage, cache, scope)
 
         monkeypatch.setattr(SparkSimulator, "_compile_plan", counting)
-        sim = run(arrivals=FixedArrivals(interval=1.0), **kwargs)
+        sim = run(arrivals=FixedArrivals(interval=1.0))
         sim.run()
         assert set(compiled) == {0, 1, 2}
         for app in sim._loop.apps:

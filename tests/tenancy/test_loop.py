@@ -5,8 +5,8 @@ slots until preempted, pops slots inline and runs lone cache-inert
 stages in closed form.  Here it is compared with
 :class:`tests.tenancy.loop_spec.PerTaskLoop` — one heap pop per task,
 nothing batched — on random multi-application streams, and checked for
-slot conservation after churned runs: no task left queued, every slot
-parked again, every stage drained.
+slot conservation after churned standalone runs: no task left queued,
+every slot parked again, every stage drained.
 """
 
 from __future__ import annotations
@@ -25,18 +25,10 @@ from repro.experiments.harness import build_workload_dag, cache_mb_for
 from repro.simulator.engine import EventLoop, SparkSimulator
 from repro.simulator.failures import FailurePlan, build_churn_plan
 from repro.sweep.schemes import resolve_scheme
-from repro.tenancy import (
-    AppSpec,
-    FixedArrivals,
-    MultiTenantSimulator,
-    PoissonArrivals,
-    TimedNodeDecommission,
-    TimedNodeJoin,
-)
+from repro.tenancy import AppSpec, FixedArrivals, MultiTenantSimulator, PoissonArrivals
 from repro.tenancy.metrics import mt_metrics_to_dict
 from tests.tenancy.loop_spec import PerTaskLoop
-from tests.tenancy.test_dense import QUEUED_DECOMMISSION, dense_mix, dense_run
-from tests.tenancy.test_elastic import CHURN_MIXES
+from tests.tenancy.test_dense import dense_mix
 
 WORKLOADS = ("KM", "PR", "SVD++", "CC", "LP", "SP")
 SCHEMES = ("LRU", "MRD", "MRD-prefetch", "MRD-evict", "LRC")
@@ -60,13 +52,9 @@ def both(build) -> tuple[dict, dict]:
 # ----------------------------------------------------------------------
 # production loop == per-task specification
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("case", [
-    "static", "global-mrd", "global-mrd-queued-decommission",
-])
+@pytest.mark.parametrize("case", ["static", "global-mrd"])
 def test_dense_mixes_match_the_spec(case):
-    production = mt_metrics_to_dict(dense_run(case))
-    with per_task_loop():
-        spec = mt_metrics_to_dict(dense_run(case))
+    production, spec = both(lambda: dense_mix(case))
     assert production == spec
 
 
@@ -87,19 +75,9 @@ def streams(draw):
         arrivals = PoissonArrivals(rate=draw(st.floats(0.05, 4.0)), seed=draw(st.integers(0, 9)))
     else:
         arrivals = FixedArrivals(interval=draw(st.sampled_from([0.0, 0.5, 3.0, 20.0])))
-    memberships = [
-        draw(st.sampled_from([TimedNodeJoin, TimedNodeDecommission]))(
-            at=draw(st.floats(0.0, 60.0)),
-            node_id=draw(st.none() | st.integers(0, num_nodes - 1)),
-        )
-        for _ in range(draw(st.integers(0, 3)))
-    ]
     kwargs = dict(
         arrivals=arrivals,
         arbitration=draw(st.sampled_from(["static", "global-mrd"])),
-        placement=draw(st.sampled_from(["stride", "rendezvous"])),
-        rebalance=draw(st.sampled_from(["drop", "migrate"])),
-        memberships=memberships,
     )
     if draw(st.booleans()):
         kwargs.update(control_plane="rpc", control_config=RpcConfig(
@@ -181,31 +159,3 @@ def test_standalone_churned_runs_conserve_slots(loops, plan, placement, plane):
     ).run()
     (loop,) = loops
     assert_slots_conserved(loop)
-
-
-@pytest.mark.parametrize("mix", sorted(CHURN_MIXES))
-def test_churned_multi_tenant_runs_conserve_slots(mix):
-    kwargs = dict(CHURN_MIXES[mix])
-    sim = MultiTenantSimulator(kwargs.pop("apps"), CLUSTER, **kwargs)
-    sim.run()
-    assert sim._loop is not None
-    assert_slots_conserved(sim._loop)
-
-
-def test_queued_decommission_conserves_slots_and_rehomes_several_apps(monkeypatch):
-    """The dense mix's decommission lands while several applications
-    have tasks queued on the leaving node; all of them re-home."""
-    queued: list[set[int]] = []
-    decommission = MultiTenantSimulator._decommission_shared_node
-
-    def spy(self, node_id, t):
-        queue = self._loop.queues[node_id]
-        queued.append({batch[0].index for batch in queue})
-        decommission(self, node_id, t)
-        assert not queue
-
-    monkeypatch.setattr(MultiTenantSimulator, "_decommission_shared_node", spy)
-    sim = dense_mix("global-mrd", **QUEUED_DECOMMISSION)
-    sim.run()
-    assert len(queued) == 1 and len(queued[0]) >= 2
-    assert_slots_conserved(sim._loop)
