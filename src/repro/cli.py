@@ -11,9 +11,18 @@ Examples::
     python -m repro experiment fig4 --jobs 8
     python -m repro experiment table1
     python -m repro lint src/repro --format json
+    python -m repro trace record KM --scheme MRD -o km.jsonl
+    python -m repro trace replay km.jsonl --scheme LRU
 
 Every command prints plain-text tables (the same renderers the
 benchmark suite uses) and is fully deterministic.
+
+``run`` and ``trace record`` describe their run as one sweep cell
+(:class:`~repro.sweep.spec.CellSpec`) and execute it through
+:func:`~repro.sweep.runner.execute_cell`, the path every sweep cell
+takes, so a command line and the sweep cell with the same fields run
+the same simulation.  A recorded trace's meta header is that cell, and
+``trace replay`` reruns it.
 """
 
 from __future__ import annotations
@@ -49,10 +58,10 @@ from repro.experiments.harness import (
     cache_mb_for,
     format_table,
 )
-from repro.policies.scheme import CacheScheme
 from repro.simulator.config import CLUSTERS
-from repro.simulator.engine import simulate
+from repro.sweep.runner import execute_cell
 from repro.sweep.schemes import SCHEME_SPECS, resolve_scheme, resolve_scheme_mix
+from repro.sweep.spec import CellSpec, validate_cells
 from repro.tenancy.arbitration import ARBITRATIONS
 from repro.workloads.registry import workload_names
 
@@ -75,24 +84,46 @@ _EXPERIMENTS = {
 }
 
 
-def _make_scheme(args: argparse.Namespace) -> CacheScheme:
+def _cell_from_args(args: argparse.Namespace, command: str, **fields) -> CellSpec:
+    """The cell a ``run`` or ``trace record`` command line describes.
+
+    Exits with ``<command> failed: ...`` on any bad name or value, so a
+    typo never reaches the simulator as a traceback.
+    """
     try:
         spec = resolve_scheme(args.scheme)
+        # --mode/--metric override an MRD spec only when moved off their
+        # defaults, so "MRD-adhoc" stays ad-hoc under --metric job.
+        # Other schemes have no such knob: refuse rather than ignore it.
+        for field, default in (("mode", "recurring"), ("metric", "stage")):
+            value = getattr(args, field, default)
+            if value == default:
+                continue
+            if spec.base != "MRD":
+                raise ValueError(
+                    f"--{field} {value} applies to MRD schemes only, not {spec.name}"
+                )
+            spec = replace(spec, **{field: value})
+        cell = CellSpec(
+            workload=args.workload,
+            scheme_spec=spec,
+            cluster=args.cluster,
+            cache_fraction=args.cache_fraction,
+            cache_mb=args.cache_mb,
+            scale=args.scale,
+            iterations=args.iterations,
+            partitions=args.partitions,
+            control_plane=args.control_plane,
+            control_latency=args.control_latency,
+            control_jitter=args.control_jitter,
+            control_loss=args.control_loss,
+            control_seed=args.control_seed,
+            **fields,
+        )
+        validate_cells([cell])
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    # --mode/--metric override an MRD spec only when moved off their
-    # defaults, so "MRD-adhoc" stays ad-hoc under --metric job.  Other
-    # schemes have no such knob: refuse rather than silently ignore it.
-    for field, default in (("mode", "recurring"), ("metric", "stage")):
-        value = getattr(args, field)
-        if value == default:
-            continue
-        if spec.base != "MRD":
-            raise SystemExit(
-                f"--{field} {value} applies to MRD schemes only, not {spec.name}"
-            )
-        spec = replace(spec, **{field: value})
-    return spec.build()
+        raise SystemExit(f"{command} failed: {exc}") from None
+    return cell
 
 
 def _cluster(args: argparse.Namespace):
@@ -155,31 +186,12 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cluster = _cluster(args)
-    dag = build_workload_dag(
-        args.workload, scale=args.scale, iterations=args.iterations,
-        partitions=args.partitions,
+    cell = _cell_from_args(
+        args, "run", placement=args.placement, churn_rate=args.churn_rate,
+        churn_seed=args.churn_seed, rebalance=args.rebalance,
     )
-    cache = (
-        args.cache_mb
-        if args.cache_mb is not None
-        else cache_mb_for(dag, args.cache_fraction, cluster)
-    )
-    kwargs = _control_kwargs(args)
-    if args.placement != "stride":
-        kwargs["placement"] = args.placement
-    if args.churn_rate > 0:
-        from repro.simulator.failures import build_churn_plan
-
-        try:
-            kwargs["failure_plan"] = build_churn_plan(
-                len(dag.active_stages), args.churn_rate, args.churn_seed
-            )
-        except ValueError as exc:
-            raise SystemExit(f"bad churn config: {exc}") from exc
-        kwargs["rebalance"] = args.rebalance
-    metrics = simulate(dag, cluster.with_cache(cache), _make_scheme(args), **kwargs)
-    print(f"cluster={cluster.name} cache={cache:.1f} MB/node")
+    metrics = execute_cell(cell)
+    print(f"cluster={cell.cluster} cache={metrics.cache_mb_per_node:.1f} MB/node")
     print(metrics.summary())
     if metrics.nodes_joined or metrics.nodes_decommissioned:
         print(
@@ -227,17 +239,11 @@ def _sweep_grid(args: argparse.Namespace):
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import (
-        CellSpec,
-        SweepProgress,
-        run_cells,
-        scheduler_mismatches,
-        validate_cells,
-    )
+    from repro.sweep import SweepProgress, run_cells, scheduler_mismatches
 
     grid = _sweep_grid(args)
-    cells = grid.cells()
     try:
+        cells = grid.cells()
         validate_cells(cells)
     except ValueError as exc:
         raise SystemExit(f"sweep failed: {exc}") from exc
@@ -253,12 +259,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"sweep failed: {exc}") from exc
 
-    multi_seed = len(grid.seeds) > 1
     multi_sched = len(grid.schedulers) > 1
     rpc = grid.control_plane == "rpc"
     headers = (
         ["Fraction", "MB/node", "Scheme"]
-        + (["Seed"] if multi_seed else [])
         + (["Sched"] if multi_sched else [])
         + (["Latency"] if rpc else [])
         + ["JCT", "Hit"]
@@ -282,8 +286,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     else f"{cell.cache_mb:g}MB"
                 )
                 row: list[object] = [fraction, mb, cell.scheme]
-                if multi_seed:
-                    row.append(cell.seed)
                 if multi_sched:
                     row.append(cell.scheduler)
                 if rpc:
@@ -481,42 +483,12 @@ def _write_trace_outputs(recorder, args: argparse.Namespace) -> None:
 
 
 def cmd_trace_record(args: argparse.Namespace) -> int:
-    from repro.dag.dag_builder import build_dag
     from repro.trace import TraceRecorder
-    from repro.workloads.registry import build_workload
 
-    kwargs = {
-        k: getattr(args, k)
-        for k in ("scale", "iterations", "partitions")
-        if getattr(args, k) is not None
-    }
-    try:
-        dag = build_dag(build_workload(args.workload, **kwargs))
-    except KeyError as exc:
-        raise SystemExit(f"record failed: {exc.args[0]}") from exc
-    args.cluster = args.cluster or "main"
-    cluster = _cluster(args)
-    try:
-        scheme = resolve_scheme(args.scheme).build()
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-    cache = (
-        args.cache_mb
-        if args.cache_mb is not None
-        else cache_mb_for(dag, args.cache_fraction, cluster)
-    )
-    recorder = TraceRecorder(meta={
-        "workload": args.workload,
-        **kwargs,
-        "scheme": scheme.name,
-        "cluster": cluster.name,
-        "cache_mb": cache,
-        "source": "recorded",
-    })
-    metrics = simulate(
-        dag, cluster.with_cache(cache), scheme, recorder=recorder,
-        **_control_kwargs(args),
-    )
+    cell = _cell_from_args(args, "record")
+    # The meta header is the run's cell: a bare replay reruns it.
+    recorder = TraceRecorder(meta={**cell.to_dict(), "source": "recorded"})
+    metrics = execute_cell(cell, recorder=recorder)
     print(metrics.summary())
     if metrics.control_plane != "instant":
         print(f"control[{metrics.control_plane}] {metrics.control.summary()}")
@@ -711,11 +683,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
 
     def _trace_run_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheme", "--policy", dest="scheme", default="lru",
-                       help=f"one of {sorted(SCHEME_SPECS)}, in any case")
+        p.add_argument("--scheme", "--policy", dest="scheme", default=None,
+                       help=f"one of {sorted(SCHEME_SPECS)}, in any case; "
+                            "record defaults to lru, replay to the recorded "
+                            "trace's scheme (event logs: lru)")
         p.add_argument("--cluster", default=None,
-                       help=f"one of {sorted(CLUSTERS)}; replay defaults to "
-                            "the recorded trace's cluster")
+                       help=f"one of {sorted(CLUSTERS)}; record defaults to "
+                            "main, replay to the recorded trace's cluster "
+                            "(event logs: main)")
         p.add_argument("--cache-fraction", type=float, default=0.5)
         p.add_argument("--cache-mb", type=float, default=None)
         p.add_argument("-o", "--output", default=None,
@@ -740,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     record_p.add_argument("--partitions", type=int, default=None)
     _trace_run_args(record_p)
     _add_control_args(record_p)
-    record_p.set_defaults(func=cmd_trace_record)
+    record_p.set_defaults(func=cmd_trace_record, scheme="lru", cluster="main")
 
     replay_p = trace_sub.add_parser(
         "replay", help="replay an event log or recorded trace under a scheme"

@@ -11,7 +11,6 @@ compare parallel and serial sweep runs byte-for-byte.
 from __future__ import annotations
 
 import csv
-import json
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -130,60 +129,6 @@ def metrics_from_dict(data: dict) -> RunMetrics:
         decommission_dropped_blocks=data.get("decommission_dropped_blocks", 0),
         per_node_presence=list(data.get("per_node_presence", [])),
     )
-
-
-def save_metrics_json(metrics_list: Iterable[RunMetrics], path: Path | str) -> Path:
-    """Write one or more runs as a JSON array."""
-    path = Path(path)
-    payload = [metrics_to_dict(m) for m in metrics_list]
-    path.write_text(json.dumps(payload, indent=2))
-    return path
-
-
-def load_metrics_json(path: Path | str) -> list[dict]:
-    """Read back what :func:`save_metrics_json` wrote."""
-    return json.loads(Path(path).read_text())
-
-
-def save_stage_timeline_csv(metrics: RunMetrics, path: Path | str) -> Path:
-    """Per-stage timeline of one run as CSV (for Gantt-style plots)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["seq", "stage_id", "job_id", "start", "end", "duration", "num_tasks"]
-        )
-        for r in metrics.stage_records:
-            writer.writerow(
-                [r.seq, r.stage_id, r.job_id, r.start, r.end, r.duration, r.num_tasks]
-            )
-    return path
-
-
-def render_timeline(metrics: RunMetrics, width: int = 72) -> str:
-    """ASCII Gantt of the run: one bar per executed stage.
-
-    Bars are positioned on a shared time axis; the glyph encodes the
-    job (cycling a-z), so job boundaries and relative stage durations
-    are visible at a glance in a terminal.
-    """
-    if not metrics.stage_records:
-        return "(no stages executed)"
-    total = metrics.jct if metrics.jct > 0 else 1.0
-    lines = [
-        f"timeline: {metrics.workload} under {metrics.scheme} "
-        f"(JCT {metrics.jct:.2f}s, {len(metrics.stage_records)} stages)"
-    ]
-    for r in metrics.stage_records:
-        start_col = int(r.start / total * width)
-        end_col = max(int(r.end / total * width), start_col + 1)
-        glyph = chr(ord("a") + r.job_id % 26)
-        bar = " " * start_col + glyph * (end_col - start_col)
-        lines.append(
-            f"seq {r.seq:3d} job {r.job_id:3d} |{bar.ljust(width)}| "
-            f"{r.duration:7.3f}s"
-        )
-    return "\n".join(lines)
 
 
 def save_comparison_csv(metrics_list: Iterable[RunMetrics], path: Path | str) -> Path:

@@ -10,7 +10,9 @@ modes — and this package is the layer that makes that grid cheap to
   (:class:`SchemeSpec`) so cells can cross process boundaries.
 * :mod:`repro.sweep.runner` — :func:`run_cells`: a multiprocessing
   fan-out with per-cell failure isolation and bit-identical results at
-  any ``jobs`` count.
+  any ``jobs`` count, over :func:`execute_cell`, the one code path that
+  turns a cell into a simulation (``repro run`` and ``repro trace``
+  use it too).
 * :mod:`repro.sweep.store` — :class:`ResultStore`: atomic per-cell
   result files keyed by config fingerprint, giving resume-after-
   interrupt and zero recomputation for unchanged cells.
@@ -25,6 +27,7 @@ from repro.sweep.progress import SweepProgress
 from repro.sweep.runner import (
     SweepError,
     SweepOutcome,
+    execute_cell,
     run_cell,
     run_cells,
     scheduler_mismatches,
@@ -50,6 +53,7 @@ __all__ = [
     "SweepError",
     "SweepOutcome",
     "SweepProgress",
+    "execute_cell",
     "load_grid",
     "resolve_scheme",
     "run_cell",

@@ -53,6 +53,7 @@ from repro.simulator.metrics import RunMetrics
 from repro.simulator.reporting import metrics_to_dict
 from repro.sweep.spec import CellSpec, cache_mb_per_node
 from repro.sweep.store import STATUS_ERROR, STATUS_OK, CellResult, ResultStore
+from repro.trace.recorder import TraceRecorder
 from repro.workloads.base import WorkloadParams, WorkloadSpec
 
 #: ``progress(done, total, result)`` — invoked after every cell.
@@ -96,7 +97,6 @@ def _compiled_workload(
             cell.partitions if cell.partitions is not None
             else WorkloadParams().partitions
         ),
-        seed=cell.seed,
     )
     key = (spec, params)
     if dags is not None and key in dags:
@@ -110,10 +110,19 @@ def _compiled_workload(
     return compiled
 
 
-def _execute_cell(
-    cell: CellSpec, profile_path: str | None, dags: DagMemo | None = None
+def execute_cell(
+    cell: CellSpec,
+    profile_store: ProfileStore | None = None,
+    dags: DagMemo | None = None,
+    recorder: TraceRecorder | None = None,
 ) -> RunMetrics:
-    """Run one cell to completion (pure function of the spec)."""
+    """Run one cell to completion (a pure function of the spec).
+
+    The one place a single-application run becomes ``simulate(...)``
+    arguments: sweeps, ``repro run``, ``repro trace record`` and the
+    replay of a recorded trace all run cells through it.  ``recorder``
+    receives the run's trace events.
+    """
     from repro.simulator.engine import simulate
 
     dag, peak_mb = _compiled_workload(cell, dags)
@@ -123,9 +132,8 @@ def _execute_cell(
     else:
         assert cell.cache_fraction is not None
         cache_mb = cache_mb_per_node(peak_mb, cell.cache_fraction, cluster.num_nodes)
-    store = ProfileStore(path=Path(profile_path)) if profile_path else None
-    scheme = cell.scheme_spec.build(profile_store=store)
-    kwargs: dict = {"scheduler": cell.scheduler}
+    scheme = cell.scheme_spec.build(profile_store=profile_store)
+    kwargs: dict = {"scheduler": cell.scheduler, "recorder": recorder}
     if cell.placement != "stride":
         kwargs["placement"] = cell.placement
     if cell.churn_rate > 0:
@@ -161,7 +169,8 @@ def run_cell(
     fingerprint = cell.fingerprint()
     start = time.perf_counter()
     try:
-        metrics = _execute_cell(cell, profile_path, dags)
+        store = ProfileStore(path=Path(profile_path)) if profile_path else None
+        metrics = execute_cell(cell, store, dags)
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return CellResult(
             fingerprint=fingerprint,

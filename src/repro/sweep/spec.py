@@ -1,12 +1,17 @@
 """Declarative sweep grids: cells, fingerprints, and spec files.
 
 A *cell* (:class:`CellSpec`) is one fully-determined simulation — a
-workload build, a cluster, a cache size, a scheme, a scheduling core
-and a control-plane configuration — described entirely by plain data so
-it can be shipped to a worker process and hashed into a content
-address.  A *grid* (:class:`GridSpec`) is the cross product of axes
-(workloads × schemes × cache fractions × clusters × seeds × schedulers
-× control latencies) that expands deterministically into cells.
+workload build, a cluster, a cache size, a scheme, a scheduling core,
+a control-plane configuration and a membership history — described
+entirely by plain data so it can be shipped to a worker process and
+hashed into a content address.  It is the one description of a
+single-application run: sweeps, ``repro run``, ``repro trace record``
+and the replay of a recorded trace (whose meta header is the cell's
+:meth:`CellSpec.to_dict`) all execute cells through
+:func:`repro.sweep.runner.execute_cell`.  A *grid* (:class:`GridSpec`)
+is the cross product of axes (workloads × schemes × cache fractions ×
+clusters × schedulers × control latencies × placements × churn rates ×
+rebalances) that expands deterministically into cells.
 
 Fingerprints
 ------------
@@ -21,11 +26,12 @@ Bump the version when the *meaning* of an existing field changes.
 Seeds
 -----
 
-Randomized machinery (the rpc control plane's jitter/loss draws) must
-not depend on which worker process, or in which order, a cell runs.
-Every cell therefore derives its RNG seed from its own fingerprint
-(:meth:`CellSpec.derived_control_seed`) unless an explicit
-``control_seed`` is pinned — this is what makes ``--jobs N`` runs
+Randomized machinery (the rpc control plane's jitter/loss draws and
+the churn history) must not depend on which worker process, or in
+which order, a cell runs.  Every cell therefore derives its RNG seeds
+from its own fingerprint (:meth:`CellSpec.derived_control_seed`,
+:meth:`CellSpec.derived_churn_seed`) unless an explicit ``control_seed``
+or ``churn_seed`` is pinned — this is what makes ``--jobs N`` runs
 bit-identical to ``--jobs 1`` runs.
 
 Spec files are TOML (Python ≥ 3.11) or JSON; see ``docs/sweeping.md``
@@ -35,6 +41,7 @@ for the format.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -42,6 +49,7 @@ from pathlib import Path
 
 from repro.cluster.placement import PLACEMENTS
 from repro.cluster.rebalance import REBALANCES
+from repro.control.plane import RpcConfig
 from repro.simulator.config import CLUSTERS
 from repro.simulator.engine import SCHEDULERS
 from repro.sweep.schemes import SCHEME_SPECS, SchemeLike, SchemeSpec, resolve_scheme
@@ -94,7 +102,6 @@ class CellSpec:
     scale: float = 1.0
     iterations: int | None = None
     partitions: int | None = None
-    seed: int = 0
     scheduler: str = "event"
     control_plane: str = "instant"
     control_latency: float | None = None
@@ -133,12 +140,27 @@ class CellSpec:
             )
         if self.cache_mb is None and self.cache_fraction is None:
             raise ValueError("cell needs cache_fraction or cache_mb")
+        for name in ("cache_fraction", "cache_mb"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.control_plane == "rpc":
+            try:
+                RpcConfig(
+                    latency_s=self.control_latency,
+                    jitter_s=self.control_jitter,
+                    loss_rate=self.control_loss,
+                )
+            except ValueError as exc:
+                raise ValueError(f"bad control-plane config: {exc}") from None
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"placement must be one of {PLACEMENTS}, got {self.placement!r}"
             )
         if not 0.0 <= self.churn_rate <= 1.0:
-            raise ValueError(f"churn_rate must be in [0, 1], got {self.churn_rate!r}")
+            raise ValueError(
+                f"bad churn config: churn_rate must be in [0, 1], got {self.churn_rate!r}"
+            )
         if self.rebalance not in REBALANCES:
             raise ValueError(
                 f"rebalance must be one of {REBALANCES}, got {self.rebalance!r}"
@@ -167,7 +189,6 @@ class CellSpec:
             "scale": self.scale,
             "iterations": self.iterations,
             "partitions": self.partitions,
-            "seed": self.seed,
             "scheduler": self.scheduler,
             "control_plane": self.control_plane,
             "control_latency": self.control_latency if self.control_plane == "rpc" else None,
@@ -282,7 +303,6 @@ class GridSpec:
     scale: float = 1.0
     iterations: int | None = None
     partitions: int | None = None
-    seeds: list[int] = field(default_factory=lambda: [0])
     schedulers: list[str] = field(default_factory=lambda: ["event"])
     control_plane: str = "instant"
     control_latencies: list[float | None] = field(default_factory=lambda: [None])
@@ -317,49 +337,43 @@ class GridSpec:
 
     def cells(self) -> list[CellSpec]:
         """Expand the grid, workload-major, in deterministic order."""
-        if not self.workloads:
-            return []
         overrides = tuple(sorted(self.cluster_overrides.items()))
         schemes = self.resolved_schemes()
         fractions: Sequence[float | None] = (
             [None] if self.cache_mb is not None else self.cache_fractions
         )
-        out: list[CellSpec] = []
-        for workload in self.workloads:
-            for cluster in self.clusters:
-                for fraction in fractions:
-                    for label, spec in schemes:
-                        for seed in self.seeds:
-                            for scheduler in self.schedulers:
-                                for latency in self.control_latencies:
-                                    for placement in self.placements:
-                                        for churn in self.churn_rates:
-                                            for rebalance in self.rebalances:
-                                                out.append(CellSpec(
-                                                    workload=workload,
-                                                    scheme=label,
-                                                    scheme_spec=spec,
-                                                    cluster=cluster,
-                                                    cluster_overrides=overrides,
-                                                    cache_fraction=fraction,
-                                                    cache_mb=self.cache_mb,
-                                                    scale=self.scale,
-                                                    iterations=self.iterations,
-                                                    partitions=self.partitions,
-                                                    seed=seed,
-                                                    scheduler=scheduler,
-                                                    control_plane=self.control_plane,
-                                                    control_latency=latency,
-                                                    control_jitter=self.control_jitter,
-                                                    control_loss=self.control_loss,
-                                                    control_seed=self.control_seed,
-                                                    placement=placement,
-                                                    churn_rate=churn,
-                                                    churn_seed=self.churn_seed,
-                                                    rebalance=rebalance,
-                                                    profile_store=self.profile_store,
-                                                ))
-        return out
+        axes = itertools.product(
+            self.workloads, self.clusters, fractions, schemes, self.schedulers,
+            self.control_latencies, self.placements, self.churn_rates,
+            self.rebalances,
+        )
+        return [
+            CellSpec(
+                workload=workload,
+                scheme=label,
+                scheme_spec=spec,
+                cluster=cluster,
+                cluster_overrides=overrides,
+                cache_fraction=fraction,
+                cache_mb=self.cache_mb,
+                scale=self.scale,
+                iterations=self.iterations,
+                partitions=self.partitions,
+                scheduler=scheduler,
+                control_plane=self.control_plane,
+                control_latency=latency,
+                control_jitter=self.control_jitter,
+                control_loss=self.control_loss,
+                control_seed=self.control_seed,
+                placement=placement,
+                churn_rate=churn,
+                churn_seed=self.churn_seed,
+                rebalance=rebalance,
+                profile_store=self.profile_store,
+            )
+            for (workload, cluster, fraction, (label, spec), scheduler, latency,
+                 placement, churn, rebalance) in axes
+        ]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -374,7 +388,7 @@ class GridSpec:
         if extra:
             raise ValueError(f"unknown grid spec key(s): {sorted(extra)}")
         for list_key in ("workloads", "schemes", "cache_fractions", "clusters",
-                         "seeds", "schedulers", "control_latencies",
+                         "schedulers", "control_latencies",
                          "placements", "churn_rates", "rebalances"):
             if list_key in data and not isinstance(data[list_key], list):
                 data[list_key] = [data[list_key]]

@@ -83,6 +83,8 @@ class AppSpec:
     scale: float = 1.0
     iterations: int | None = None
     partitions: int = 8
+    #: Accepted for callers that number their applications; no workload
+    #: builder reads it, so it changes nothing about the run.
     seed: int = 0
     #: Cache share weight under ``static`` arbitration.
     share: float = 1.0
@@ -98,7 +100,6 @@ class AppSpec:
             scale=self.scale,
             iterations=self.iterations,
             partitions=self.partitions,
-            seed=self.seed,
         )
 
 

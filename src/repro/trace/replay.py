@@ -19,16 +19,16 @@ Three entry points:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.app_profiler import ProfileStore
-from repro.core.policy import MrdScheme
-from repro.policies.scheme import CacheScheme
 from repro.simulator.config import CLUSTERS, ClusterConfig
 from repro.simulator.engine import simulate
 from repro.simulator.metrics import RunMetrics
-from repro.sweep.schemes import resolve_scheme
+from repro.sweep.runner import execute_cell
+from repro.sweep.schemes import SchemeLike, resolve_scheme
+from repro.sweep.spec import CellSpec, validate_cells
 from repro.trace.eventlog import IngestedTrace, ingest_eventlog, profile_from_trace
 from repro.trace.events import TraceEvent, TraceFormatError, read_jsonl
 from repro.trace.recorder import TraceRecorder
@@ -87,7 +87,7 @@ def _cluster_config(name: str) -> ClusterConfig:
 
 def replay(
     path: str | Path,
-    scheme: str | CacheScheme = "lru",
+    scheme: SchemeLike | None = None,
     cluster: str | None = None,
     cache_mb: float | None = None,
     cache_fraction: float = 0.5,
@@ -97,9 +97,16 @@ def replay(
 
     ``path`` may be a Spark event log (ingested via
     :func:`~repro.trace.eventlog.ingest_eventlog`) or a JSONL trace
-    previously recorded by ``repro trace record`` (replayed by
-    rebuilding the workload named in its meta header).  The run is
-    always recorded; the fresh trace is in ``result.recorder``.
+    previously recorded by ``repro trace record``.  A recorded trace's
+    meta header is the :class:`~repro.sweep.spec.CellSpec` of the run
+    that wrote it; replay rebuilds that cell, replaces its scheme,
+    cluster and cache size by any of ``scheme``, ``cluster`` and
+    ``cache_mb`` given, and runs it through
+    :func:`~repro.sweep.runner.execute_cell`, so a bare replay reruns
+    the recorded run exactly, control plane included.  An event log runs
+    under ``scheme`` (default LRU) on ``cluster`` (default ``main``) at
+    ``cache_mb`` or ``cache_fraction`` of its peak live cached set.  The
+    run is always recorded; the fresh trace is in ``result.recorder``.
 
     When ``profile_store`` is given and the source is an event log, a
     complete reference-distance profile is derived from the ingested
@@ -107,70 +114,81 @@ def replay(
     recurring mode sharing that store then starts fully informed, the
     paper's recurring-application scenario.
     """
+    source = detect_format(path)
+    if source == "recorded":
+        return _replay_recorded(path, scheme, cluster, cache_mb, profile_store)
+
     from repro.experiments.harness import cache_mb_for
 
-    source = detect_format(path)
-    ingested: IngestedTrace | None = None
-    meta: dict = {}
-    if source == "eventlog":
-        ingested = ingest_eventlog(path)
-        dag = ingested.dag
-        app_label = ingested.app_name
-    else:
-        header, _ = read_jsonl(path)
-        meta = header or {}
-        workload = meta.get("workload")
-        if not workload:
-            raise TraceFormatError(
-                f"{path}: recorded trace has no 'workload' meta field; "
-                "cannot rebuild the application it came from"
-            )
-        from repro.workloads.registry import build_workload
-        from repro.dag.dag_builder import build_dag
-
-        params = {
-            k: meta[k]
-            for k in ("scale", "iterations", "partitions", "seed")
-            if meta.get(k) is not None
-        }
-        dag = build_dag(build_workload(workload, **params))
-        app_label = workload
-
-    if isinstance(scheme, str):
-        scheme = resolve_scheme(scheme).build()
+    ingested = ingest_eventlog(path)
+    built = resolve_scheme(scheme or "lru").build(profile_store=profile_store)
     if profile_store is not None:
-        if ingested is not None:
-            profile_from_trace(ingested, store=profile_store)
-        if isinstance(scheme, MrdScheme) and scheme.profile_store is None:
-            scheme.profile_store = profile_store
-
-    # An unspecified cluster/cache falls back to what the recorded
-    # trace's meta header says, so a bare replay reproduces the
-    # original run exactly.
-    config = _cluster_config(cluster or meta.get("cluster") or "main")
+        profile_from_trace(ingested, store=profile_store)
+    config = _cluster_config(cluster or "main")
     if cache_mb is None:
-        cache_mb = (
-            float(meta["cache_mb"]) if meta.get("cache_mb") is not None
-            else cache_mb_for(dag, cache_fraction, config)
-        )
-    config = config.with_cache(cache_mb)
-
+        cache_mb = cache_mb_for(ingested.dag, cache_fraction, config)
     recorder = TraceRecorder(meta={
-        "workload": app_label,
-        "scheme": scheme.name,
+        "workload": ingested.app_name,
+        "scheme": built.name,
         "cluster": config.name,
         "cache_mb": cache_mb,
         "source": source,
         "source_path": str(path),
     })
-    metrics = simulate(dag, config, scheme, recorder=recorder)
+    metrics = simulate(
+        ingested.dag, config.with_cache(cache_mb), built, recorder=recorder
+    )
     return ReplayResult(
         source=source,
-        scheme=scheme.name,
+        scheme=built.name,
         cache_mb_per_node=cache_mb,
         metrics=metrics,
         recorder=recorder,
         ingested=ingested,
+    )
+
+
+def _replay_recorded(
+    path: str | Path,
+    scheme: SchemeLike | None,
+    cluster: str | None,
+    cache_mb: float | None,
+    profile_store: ProfileStore | None,
+) -> ReplayResult:
+    """Rerun the cell in a recorded trace's meta header, with overrides."""
+    meta, _ = read_jsonl(path)
+    if not meta.get("workload"):
+        raise TraceFormatError(
+            f"{path}: recorded trace has no 'workload' meta field; "
+            "cannot rebuild the application it came from"
+        )
+    fields = {k: v for k, v in meta.items() if k not in ("source", "source_path")}
+    try:
+        cell = CellSpec.from_dict(fields)
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(
+            f"{path}: meta header does not describe a run cell ({exc})"
+        ) from None
+    overrides: dict = {}
+    if scheme is not None:
+        spec = resolve_scheme(scheme)
+        overrides.update(scheme=spec.name, scheme_spec=spec)
+    if cluster is not None:
+        overrides["cluster"] = cluster
+    if cache_mb is not None:
+        overrides["cache_mb"] = cache_mb
+    cell = replace(cell, **overrides)
+    validate_cells([cell])
+    recorder = TraceRecorder(meta={
+        **cell.to_dict(), "source": "recorded", "source_path": str(path),
+    })
+    metrics = execute_cell(cell, profile_store, recorder=recorder)
+    return ReplayResult(
+        source="recorded",
+        scheme=cell.scheme,
+        cache_mb_per_node=metrics.cache_mb_per_node,
+        metrics=metrics,
+        recorder=recorder,
     )
 
 

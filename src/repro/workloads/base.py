@@ -36,18 +36,11 @@ class WorkloadParams:
     ``iterations`` overrides the workload's default iteration count
     (Fig. 10's experiment triples it); ``partitions`` sets the
     parallelism of the main datasets.
-
-    ``seed`` is accepted but inert: no SparkBench or HiBench builder
-    reads it, so two seeds build the same application.  It is kept
-    because ``AppSpec`` and sweep cells pass it through and it is part
-    of a cell's fingerprint; ROADMAP item 13 step 5 deletes it or gives
-    it a meaning.
     """
 
     scale: float = 1.0
     iterations: int | None = None
     partitions: int = 64
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.scale <= 0:

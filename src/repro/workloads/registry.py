@@ -103,9 +103,8 @@ def build_workload(
 
     Keyword arguments are forwarded to :class:`WorkloadParams` when no
     explicit ``params`` is given (``scale=``, ``iterations=``,
-    ``partitions=``; ``seed=`` is accepted but no builder reads it, see
-    :class:`WorkloadParams`).  ``first_rdd_id`` offsets the rdd-id
-    namespace (multi-tenant builds).
+    ``partitions=``).  ``first_rdd_id`` offsets the rdd-id namespace
+    (multi-tenant builds).
     """
     if params is not None and kwargs:
         raise TypeError("pass either params or keyword overrides, not both")

@@ -27,7 +27,7 @@ PINNED_SLICE_DIGEST = "a748d12e3aef6655"
 
 #: SHA-256 (first 16 hex chars) of the newline-joined sorted
 #: fingerprints of ``fig4.cells()``.
-PINNED_GRID_DIGEST = "07b225f642320fe9"
+PINNED_GRID_DIGEST = "5b4f740f0b414c0c"
 
 
 def test_fig4_default_grid_is_pinned():

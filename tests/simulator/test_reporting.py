@@ -9,13 +9,9 @@ from repro.dag.dag_builder import build_dag
 from repro.policies.scheme import LruScheme
 from repro.simulator.engine import simulate
 from repro.simulator.reporting import (
-    load_metrics_json,
     metrics_from_dict,
     metrics_to_dict,
-    render_timeline,
     save_comparison_csv,
-    save_metrics_json,
-    save_stage_timeline_csv,
 )
 from repro.core.policy import MrdScheme
 from tests.conftest import make_linear_app
@@ -126,31 +122,6 @@ class TestMultiTenantDict:
 
 
 class TestFiles:
-    def test_json_roundtrip(self, metrics, tmp_path):
-        path = save_metrics_json([metrics, metrics], tmp_path / "runs.json")
-        loaded = load_metrics_json(path)
-        assert len(loaded) == 2
-        assert loaded[0]["jct"] == pytest.approx(metrics.jct)
-
-    def test_timeline_csv(self, metrics, tmp_path):
-        path = save_stage_timeline_csv(metrics, tmp_path / "timeline.csv")
-        with path.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == metrics.num_stages_executed
-        assert float(rows[-1]["end"]) == pytest.approx(metrics.jct)
-
-    def test_timeline_renders_every_stage(self, metrics):
-        text = render_timeline(metrics)
-        assert text.count("seq") == metrics.num_stages_executed
-        assert "JCT" in text
-
-    def test_timeline_bars_ordered(self, metrics):
-        lines = render_timeline(metrics, width=40).splitlines()[1:]
-        # Later stages start at or after earlier ones (left-aligned bars).
-        starts = [line.index("|") + len(line.split("|")[1]) -
-                  len(line.split("|")[1].lstrip()) for line in lines]
-        assert starts == sorted(starts)
-
     def test_comparison_csv(self, tmp_path):
         dag = build_dag(make_linear_app(num_jobs=3))
         cfg = small_config(cache_mb=20.0)

@@ -75,7 +75,6 @@ class TestFingerprint:
             CellSpec(workload="SP", cache_fraction=0.4, scale=2.0),
             CellSpec(workload="SP", cache_fraction=0.4, iterations=3),
             CellSpec(workload="SP", cache_fraction=0.4, partitions=8),
-            CellSpec(workload="SP", cache_fraction=0.4, seed=1),
             CellSpec(workload="SP", cache_fraction=0.4, scheduler="reference"),
             CellSpec(workload="SP", cache_fraction=0.4, cluster="test"),
             CellSpec(workload="SP", cache_fraction=0.4,
@@ -138,6 +137,29 @@ class TestCellValidation:
         with pytest.raises(ValueError, match="unknown cluster override"):
             CellSpec(workload="SP", cluster_overrides=(("warp_factor", 9),))
 
+    @pytest.mark.parametrize("fields", [
+        {"cache_fraction": 0.0}, {"cache_fraction": -0.5},
+        {"cache_fraction": float("nan")}, {"cache_mb": 0.0}, {"cache_mb": -16.0},
+    ], ids=["fraction-0", "fraction-neg", "fraction-nan", "mb-0", "mb-neg"])
+    def test_cache_size_must_be_positive(self, fields):
+        with pytest.raises(ValueError, match="must be positive"):
+            CellSpec(workload="SP", **fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"control_loss": 1.5}, {"control_loss": -0.1},
+        {"control_jitter": -1.0}, {"control_latency": -2.0},
+    ], ids=["loss-high", "loss-neg", "jitter-neg", "latency-neg"])
+    def test_rpc_fields_checked_as_rpc_config_checks_them(self, fields):
+        with pytest.raises(ValueError, match="bad control-plane config"):
+            CellSpec(workload="SP", control_plane="rpc", **fields)
+        # On the instant plane the rpc fields are inert (to_dict drops
+        # them), so they are not checked.
+        CellSpec(workload="SP", **fields)
+
+    def test_bad_churn_rate_names_the_churn_config(self):
+        with pytest.raises(ValueError, match="bad churn config"):
+            CellSpec(workload="SP", churn_rate=1.5)
+
     def test_validate_cells_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown workload"):
             validate_cells([CellSpec(workload="NOPE")])
@@ -165,7 +187,8 @@ class TestGridSpec:
 
     def test_expansion_is_deterministic(self):
         grid = GridSpec(workloads=["SP"], schemes=["LRU", "MRD"],
-                        seeds=[0, 1], schedulers=["event", "reference"])
+                        placements=["stride", "rendezvous"],
+                        schedulers=["event", "reference"])
         prints = [c.fingerprint() for c in grid.cells()]
         assert prints == [c.fingerprint() for c in grid.cells()]
         assert len(set(prints)) == len(prints)
@@ -186,6 +209,13 @@ class TestGridSpec:
     def test_from_dict_strict_keys(self):
         with pytest.raises(ValueError, match="unknown grid spec key"):
             GridSpec.from_dict({"workloads": ["SP"], "warp": 9})
+
+    def test_seeds_is_not_an_axis(self):
+        # Workload builders read no seed; heterogeneity_seed in
+        # cluster_overrides is what varies a cell's randomness.
+        with pytest.raises(ValueError, match="unknown grid spec key"):
+            GridSpec.from_dict({"workloads": ["SP"], "seeds": [0, 1]})
+        assert "seed" not in CellSpec(workload="SP").to_dict()
 
     def test_from_dict_scalar_coercion_and_alias(self):
         grid = GridSpec.from_dict(

@@ -224,6 +224,44 @@ class TestCommands:
         with pytest.raises(SystemExit, match="bad churn config"):
             main(["run", "SP", "--churn-rate", "1.5"])
 
+    def test_run_unknown_workload_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="run failed: unknown workload 'NOPE'"):
+            main(["run", "NOPE"])
+
+    @pytest.mark.parametrize("flags", [
+        ["--cache-fraction", "-1"], ["--cache-fraction", "0"], ["--cache-mb", "0"],
+    ])
+    def test_run_rejects_a_nonpositive_cache(self, flags):
+        with pytest.raises(SystemExit, match="run failed: cache_.* must be positive"):
+            main(["run", "KM", *flags])
+
+    def test_sweep_rejects_a_nonpositive_fraction(self):
+        with pytest.raises(SystemExit, match="sweep failed: cache_fraction must be positive"):
+            main(["sweep", "SP", "--fractions", "0.4,-0.5"])
+
+    def test_run_is_the_sweep_cell_with_the_same_fields(self, capsys):
+        """``repro run`` prints what ``run_cell`` computes for its cell."""
+        from repro.sweep import CellSpec, SchemeSpec, run_cell
+
+        assert main([
+            "run", "PR", "--cluster", "test", "--partitions", "4",
+            "--mode", "adhoc", "--placement", "rendezvous",
+            "--churn-rate", "0.4", "--churn-seed", "3",
+            "--control-plane", "rpc", "--control-loss", "0.1",
+            "--control-seed", "5",
+        ]) == 0
+        out = capsys.readouterr().out
+        cell = CellSpec(
+            workload="PR", scheme_spec=SchemeSpec("MRD", mode="adhoc"),
+            cluster="test", partitions=4, placement="rendezvous",
+            churn_rate=0.4, churn_seed=3, control_plane="rpc",
+            control_loss=0.1, control_seed=5,
+        )
+        metrics = run_cell(cell).run_metrics()
+        assert metrics.nodes_joined + metrics.nodes_decommissioned > 0
+        assert metrics.control.dropped > 0
+        assert out.splitlines()[1] == metrics.summary()
+
     def test_experiment_control_latency_registered(self, capsys):
         assert main(["experiment", "fig_control_latency"]) == 0
         assert "Control-plane latency" in capsys.readouterr().out

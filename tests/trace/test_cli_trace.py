@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.sweep import CellSpec
+from repro.trace.events import read_jsonl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "eventlogs"
 ITERATIVE = str(FIXTURES / "iterative_ml.jsonl")
@@ -107,3 +109,46 @@ class TestRecord:
         # workload, cluster and cache size).
         assert main(["trace", "replay", str(out), "--policy", "mrd"]) == 0
         assert "source=recorded" in capsys.readouterr().out
+
+    def test_meta_header_is_the_runs_cell(self, capsys, tmp_path):
+        out = tmp_path / "km.jsonl"
+        assert main([
+            "trace", "record", "KM", "--scheme", "mrd", "--cluster", "test",
+            "--partitions", "4", "--control-plane", "rpc",
+            "--control-latency", "1.0", "-o", str(out),
+        ]) == 0
+        meta, _ = read_jsonl(out)
+        assert meta.pop("source") == "recorded"
+        cell = CellSpec.from_dict(meta)
+        assert cell.to_dict() == meta
+        assert (cell.partitions, cell.control_plane, cell.control_latency) == (4, "rpc", 1.0)
+
+    def test_rpc_recording_replays_identically(self, capsys, tmp_path):
+        """A bare replay reruns the recorded cell on its own control plane."""
+        recorded, replayed = tmp_path / "km.jsonl", tmp_path / "again.jsonl"
+        assert main([
+            "trace", "record", "KM", "--partitions", "8", "--scheme", "MRD",
+            "--cluster", "test", "--control-plane", "rpc",
+            "--control-latency", "1.0", "--control-loss", "0.05",
+            "-o", str(recorded),
+        ]) == 0
+        assert "control[rpc]" in capsys.readouterr().out
+        assert main(["trace", "replay", str(recorded), "-o", str(replayed)]) == 0
+        assert "scheme=MRD" in capsys.readouterr().out
+        assert main(["trace", "diff", str(recorded), str(replayed)]) == 0
+
+    def test_replay_of_a_replay_keeps_the_workload_build(self, capsys, tmp_path):
+        paths = [tmp_path / f"run{i}.jsonl" for i in range(3)]
+        assert main([
+            "trace", "record", "KM", "--partitions", "8", "--scheme", "MRD",
+            "--cluster", "test", "-o", str(paths[0]),
+        ]) == 0
+        for source, target in zip(paths, paths[1:]):
+            assert main(["trace", "replay", str(source), "-o", str(target)]) == 0
+        assert read_jsonl(paths[2])[0]["partitions"] == 8
+        capsys.readouterr()
+        assert main(["trace", "diff", str(paths[0]), str(paths[2])]) == 0
+
+    def test_record_unknown_workload_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="record failed: unknown workload"):
+            main(["trace", "record", "NOPE"])

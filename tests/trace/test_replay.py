@@ -1,5 +1,6 @@
 """Replay, diffing, and registry integration of ingested traces."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from repro.experiments.harness import cache_mb_for
 from repro.policies.scheme import LruScheme
 from repro.simulator.config import TEST_CLUSTER
 from repro.simulator.engine import simulate
+from repro.sweep import CellSpec, SchemeSpec, execute_cell
 from repro.sweep.schemes import resolve_scheme
 from repro.trace.events import (
     EVENT_TYPES,
@@ -127,6 +129,34 @@ def test_replay_recorded_trace_rebuilds_workload(tmp_path):
     assert again.source == "recorded"
     assert again.cache_mb_per_node == 64.0  # taken from the meta header
     assert diff_traces(recorder.events, again.events) is None
+
+
+def test_replay_overrides_replace_fields_of_the_recorded_cell(tmp_path):
+    recorded = tmp_path / "km.jsonl"
+    cell = CellSpec(
+        workload="KM", scheme_spec=SchemeSpec("MRD"), cluster="test",
+        partitions=4, control_plane="rpc", control_latency=0.5,
+    )
+    recorder = TraceRecorder(meta={**cell.to_dict(), "source": "recorded"})
+    execute_cell(cell, recorder=recorder)
+    recorder.to_jsonl(recorded)
+
+    again = replay(recorded, scheme="lru", cache_mb=30.0)
+    meta = dict(again.recorder.meta)
+    assert (meta.pop("source"), meta.pop("source_path")) == ("recorded", str(recorded))
+    assert meta == replace(
+        cell, scheme="LRU", scheme_spec=SchemeSpec("LRU"), cache_mb=30.0
+    ).to_dict()
+    assert again.scheme == "LRU"
+    assert again.cache_mb_per_node == 30.0
+    assert again.metrics.control_plane == "rpc"
+
+
+def test_replay_rejects_a_header_that_is_not_a_cell(tmp_path):
+    path = tmp_path / "old.jsonl"
+    TraceRecorder(meta={"workload": "KM", "warp": 9}).to_jsonl(path)
+    with pytest.raises(TraceFormatError, match="does not describe a run cell"):
+        replay(path)
 
 
 def test_replay_recorded_trace_without_workload_meta(tmp_path):
