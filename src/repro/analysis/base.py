@@ -18,12 +18,8 @@ import ast
 from collections.abc import Iterator
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.analysis.findings import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.analysis.project import ProjectContext
 
 
 class ModuleContext:
@@ -129,27 +125,6 @@ class Rule:
         return any(f"/{fragment}/" in probe for fragment in self.applies_to)
 
 
-class ProjectRule(Rule):
-    """A rule that needs the whole program, not one module.
-
-    Subclasses implement :meth:`check_project` against a built
-    :class:`~repro.analysis.project.ProjectContext`; the runner calls it
-    once per lint run (after the per-module pass) and applies the same
-    path scoping and suppression filtering to the findings it yields —
-    scoping keys on each *finding's* path, so a cross-module rule sees
-    every analyzed module as context but only reports inside its
-    patrolled packages.
-    """
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        """Project rules run in the project pass; the module pass skips them."""
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        """Yield findings over the whole analyzed module set."""
-        raise NotImplementedError
-
-
 #: Registry: rule id → rule instance (populated by :func:`register_rule`).
 _REGISTRY: dict[str, Rule] = {}
 
@@ -168,8 +143,6 @@ def register_rule(cls: type[Rule]) -> type[Rule]:
 def _load_shipped_rules() -> None:
     """Import every shipped rule module (registration side effect)."""
     import repro.analysis.determinism  # noqa: F401
-    import repro.analysis.event_rules  # noqa: F401
-    import repro.analysis.io_rules  # noqa: F401
     import repro.analysis.rng_rules  # noqa: F401
 
 

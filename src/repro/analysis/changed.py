@@ -1,14 +1,8 @@
 """Git-diff-scoped lint runs: the ``repro lint --changed`` resolver.
 
-Pre-commit wants lint latency proportional to the diff, not the repo —
-but a *cross-module* analyzer cannot lint changed files in isolation:
-editing a helper's ``noise.py`` can create (or fix) an RNG102
-finding in the ``api.py`` that calls it (the ``rng102_*`` fixture
-packages under ``tests/analysis/fixtures/``).  The correct unit is the
-changed files' **import closure**: the changed modules, every
-transitive importer of them, and the transitive imports of that whole
-set (context the project pass needs), as computed by
-:meth:`~repro.analysis.project.ProjectContext.import_closure`.
+Pre-commit wants lint latency proportional to the diff, not the repo.
+Every rule checks one module at a time, so linting only the changed
+files finds exactly what a full run finds in them.
 
 The changed set itself comes from git, merge-base aware: an explicit
 ``--changed-base REF`` wins, else the branch's upstream, else
@@ -24,8 +18,6 @@ from __future__ import annotations
 import subprocess
 from pathlib import Path
 
-from repro.analysis.base import ModuleContext
-from repro.analysis.project import ProjectContext
 from repro.analysis.runner import _relpath, iter_python_files
 
 #: Candidate merge-base refs, tried in order after ``@{upstream}``.
@@ -93,32 +85,15 @@ def changed_files(base: str | None = None) -> list[str] | None:
 def resolve_changed_paths(
     lint_roots: list[str], base: str | None = None
 ) -> list[Path] | None:
-    """Files to lint for ``--changed``: the diff's import closure.
+    """Files to lint for ``--changed``: the changed files under ``lint_roots``.
 
-    The closure is computed over *all* files under ``lint_roots`` (one
-    cheap parse pass; no rules run), then intersected back with those
-    roots — a changed test file outside the linted tree does not drag
-    the tree in.  ``None`` falls back to full-tree linting (no git);
-    an empty list means the diff touches nothing the roots cover.
+    A changed test file outside the linted tree is not linted.  ``None``
+    falls back to full-tree linting (no git); an empty list means the
+    diff touches nothing the roots cover.  A changed file that does not
+    parse is still selected, so its ``PARSE`` finding surfaces.
     """
     changed = changed_files(base)
     if changed is None:
         return None
-    if not changed:
-        return []
-    candidates = iter_python_files(lint_roots)
-    modules: list[ModuleContext] = []
-    for path in candidates:
-        try:
-            modules.append(ModuleContext(path, _relpath(path), path.read_text()))
-        except SyntaxError:
-            continue  # still linted below if it is in the changed set
-    closure = ProjectContext(modules).import_closure(changed)
-    selected = [p for p in candidates if _relpath(p) in closure]
-    # A changed-but-unparseable file inside the roots must surface its
-    # PARSE finding even though it joined no module graph.
-    by_relpath = {_relpath(p) for p in selected}
-    for path in candidates:
-        if _relpath(path) in set(changed) and _relpath(path) not in by_relpath:
-            selected.append(path)
-    return sorted(selected)
+    wanted = set(changed)
+    return sorted(p for p in iter_python_files(lint_roots) if _relpath(p) in wanted)

@@ -30,7 +30,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--changed", action="store_true",
-        help="lint only the git diff's import closure (merge-base aware; "
+        help="lint only the files the git diff changed (merge-base aware; "
              "falls back to the full tree when git is unavailable)",
     )
     parser.add_argument(

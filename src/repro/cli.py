@@ -61,7 +61,7 @@ from repro.experiments.harness import (
 from repro.simulator.config import CLUSTERS
 from repro.sweep.runner import execute_cell
 from repro.sweep.schemes import SCHEME_SPECS, resolve_scheme, resolve_scheme_mix
-from repro.sweep.spec import CellSpec, validate_cells
+from repro.sweep.spec import CellSpec, check_cache_size, validate_cells
 from repro.tenancy.arbitration import ARBITRATIONS
 from repro.workloads.registry import workload_names
 
@@ -370,6 +370,7 @@ def cmd_mt_run(args: argparse.Namespace) -> int:
     # could run alone at the requested fraction — contention then comes
     # from overlap, not from an undersized baseline.
     try:
+        check_cache_size(args.cache_fraction, args.cache_mb)
         if args.cache_mb is not None:
             cache = args.cache_mb
         else:
@@ -381,7 +382,7 @@ def cmd_mt_run(args: argparse.Namespace) -> int:
                 )
                 for name in dict.fromkeys(args.workloads)
             )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise SystemExit(f"mt run failed: {exc.args[0]}") from exc
 
     apps = [
@@ -691,8 +692,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"one of {sorted(CLUSTERS)}; record defaults to "
                             "main, replay to the recorded trace's cluster "
                             "(event logs: main)")
-        p.add_argument("--cache-fraction", type=float, default=0.5)
-        p.add_argument("--cache-mb", type=float, default=None)
+        p.add_argument("--cache-fraction", type=float, default=None,
+                       help="record defaults to 0.5, replay to the recorded "
+                            "trace's cache (event logs: 0.5)")
+        p.add_argument("--cache-mb", type=float, default=None,
+                       help="absolute cache MB per node (overrides "
+                            "--cache-fraction)")
         p.add_argument("-o", "--output", default=None,
                        help="write the recorded trace as JSONL")
         p.add_argument("--chrome", default=None,
@@ -715,7 +720,9 @@ def build_parser() -> argparse.ArgumentParser:
     record_p.add_argument("--partitions", type=int, default=None)
     _trace_run_args(record_p)
     _add_control_args(record_p)
-    record_p.set_defaults(func=cmd_trace_record, scheme="lru", cluster="main")
+    record_p.set_defaults(
+        func=cmd_trace_record, scheme="lru", cluster="main", cache_fraction=0.5
+    )
 
     replay_p = trace_sub.add_parser(
         "replay", help="replay an event log or recorded trace under a scheme"

@@ -74,6 +74,13 @@ def cache_mb_per_node(peak_mb: float, fraction: float, num_nodes: int) -> float:
     return max(peak_mb * fraction / num_nodes, MIN_CACHE_MB)
 
 
+def check_cache_size(cache_fraction: float | None, cache_mb: float | None) -> None:
+    """Reject a cache fraction or size that is given but not positive (NaN too)."""
+    for name, value in (("cache_fraction", cache_fraction), ("cache_mb", cache_mb)):
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 #: Cluster-shape fields a spec may override per cell.
 CLUSTER_OVERRIDE_FIELDS = (
     "num_nodes",
@@ -140,10 +147,7 @@ class CellSpec:
             )
         if self.cache_mb is None and self.cache_fraction is None:
             raise ValueError("cell needs cache_fraction or cache_mb")
-        for name in ("cache_fraction", "cache_mb"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        check_cache_size(self.cache_fraction, self.cache_mb)
         if self.control_plane == "rpc":
             try:
                 RpcConfig(

@@ -52,8 +52,8 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
     The store's one write idiom: write a ``mkstemp`` sibling in the
     destination directory, then ``os.replace`` onto the final name —
-    readers observe the old bytes or the new bytes, never a torn file
-    (IO201).  The temp file is unlinked on any failure.
+    readers observe the old bytes or the new bytes, never a torn file.
+    The temp file is unlinked on any failure.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,7 @@ from repro.simulator.engine import simulate
 from repro.simulator.metrics import RunMetrics
 from repro.sweep.runner import execute_cell
 from repro.sweep.schemes import SchemeLike, resolve_scheme
-from repro.sweep.spec import CellSpec, validate_cells
+from repro.sweep.spec import CellSpec, check_cache_size, validate_cells
 from repro.trace.eventlog import IngestedTrace, ingest_eventlog, profile_from_trace
 from repro.trace.events import TraceEvent, TraceFormatError, read_jsonl
 from repro.trace.recorder import TraceRecorder
@@ -90,7 +90,7 @@ def replay(
     scheme: SchemeLike | None = None,
     cluster: str | None = None,
     cache_mb: float | None = None,
-    cache_fraction: float = 0.5,
+    cache_fraction: float | None = None,
     profile_store: ProfileStore | None = None,
 ) -> ReplayResult:
     """Reconstruct the application behind ``path`` and simulate it.
@@ -100,13 +100,15 @@ def replay(
     previously recorded by ``repro trace record``.  A recorded trace's
     meta header is the :class:`~repro.sweep.spec.CellSpec` of the run
     that wrote it; replay rebuilds that cell, replaces its scheme,
-    cluster and cache size by any of ``scheme``, ``cluster`` and
-    ``cache_mb`` given, and runs it through
+    cluster and cache size by any of ``scheme``, ``cluster``,
+    ``cache_fraction`` and ``cache_mb`` given (``cache_mb`` wins over
+    ``cache_fraction``), and runs it through
     :func:`~repro.sweep.runner.execute_cell`, so a bare replay reruns
     the recorded run exactly, control plane included.  An event log runs
     under ``scheme`` (default LRU) on ``cluster`` (default ``main``) at
-    ``cache_mb`` or ``cache_fraction`` of its peak live cached set.  The
-    run is always recorded; the fresh trace is in ``result.recorder``.
+    ``cache_mb`` or ``cache_fraction`` (default 0.5) of its peak live
+    cached set.  The run is always recorded; the fresh trace is in
+    ``result.recorder``.
 
     When ``profile_store`` is given and the source is an event log, a
     complete reference-distance profile is derived from the ingested
@@ -116,17 +118,21 @@ def replay(
     """
     source = detect_format(path)
     if source == "recorded":
-        return _replay_recorded(path, scheme, cluster, cache_mb, profile_store)
+        return _replay_recorded(
+            path, scheme, cluster, cache_mb, cache_fraction, profile_store
+        )
 
     from repro.experiments.harness import cache_mb_for
 
+    check_cache_size(cache_fraction, cache_mb)
     ingested = ingest_eventlog(path)
     built = resolve_scheme(scheme or "lru").build(profile_store=profile_store)
     if profile_store is not None:
         profile_from_trace(ingested, store=profile_store)
     config = _cluster_config(cluster or "main")
     if cache_mb is None:
-        cache_mb = cache_mb_for(ingested.dag, cache_fraction, config)
+        fraction = 0.5 if cache_fraction is None else cache_fraction
+        cache_mb = cache_mb_for(ingested.dag, fraction, config)
     recorder = TraceRecorder(meta={
         "workload": ingested.app_name,
         "scheme": built.name,
@@ -153,6 +159,7 @@ def _replay_recorded(
     scheme: SchemeLike | None,
     cluster: str | None,
     cache_mb: float | None,
+    cache_fraction: float | None,
     profile_store: ProfileStore | None,
 ) -> ReplayResult:
     """Rerun the cell in a recorded trace's meta header, with overrides."""
@@ -175,6 +182,8 @@ def _replay_recorded(
         overrides.update(scheme=spec.name, scheme_spec=spec)
     if cluster is not None:
         overrides["cluster"] = cluster
+    if cache_fraction is not None:
+        overrides.update(cache_fraction=cache_fraction, cache_mb=None)
     if cache_mb is not None:
         overrides["cache_mb"] = cache_mb
     cell = replace(cell, **overrides)
@@ -202,9 +211,9 @@ replay_trace = replay
 # ----------------------------------------------------------------------
 #: Every declared event kind, pivoted into the display group the CLI
 #: summary reports under.  This table is a *complete* mirror of the
-#: ``TraceEvent`` hierarchy and the EVT301 lint rule keeps it that way:
-#: adding an event kind without extending this dict (or keeping a key
-#: whose class was removed) fails ``repro lint``.
+#: ``TraceEvent`` hierarchy: adding an event kind without extending this
+#: dict (or keeping a key whose class was removed) fails
+#: ``tests/trace/test_replay.py``'s registry test.
 EVENT_GROUPS: dict[str, str] = {
     "job_start": "lifecycle",
     "stage_start": "lifecycle",
@@ -234,8 +243,8 @@ def summarize_events(events: list[TraceEvent]) -> dict[str, dict[str, int]]:
     The pivot the ``repro trace record/replay`` summary prints: group →
     kind → count, groups in :data:`GROUP_ORDER`, kinds sorted within
     each group.  An event whose kind is missing from
-    :data:`EVENT_GROUPS` raises — that is schema drift, and the lint
-    rule (EVT301) should have caught it before any trace got this far.
+    :data:`EVENT_GROUPS` raises — that is schema drift, which the
+    event-registry test should have caught before any trace got this far.
     """
     counts: dict[str, dict[str, int]] = {}
     for event in events:

@@ -1,4 +1,4 @@
-"""``repro lint --changed``: git-diff resolution and import closures.
+"""``repro lint --changed``: git-diff resolution and file selection.
 
 Each test builds a throwaway git repository (so the analyzer's own
 repo state never leaks in) and drives the resolver through real git
@@ -65,16 +65,16 @@ def test_clean_tree_changes_nothing(repo):
     assert resolve_changed_paths(["pkg"], base="HEAD") == []
 
 
-def test_one_file_diff_selects_only_the_import_closure(repo):
+def test_one_file_diff_selects_only_that_file(repo):
     (repo / "pkg" / "core.py").write_text(
         "import random\n\n\ndef f():\n    return random.random()\n"
     )
-    assert changed_files(base="HEAD") == ["pkg/core.py"]
+    (repo / "script.py").write_text("X = 1\n")
+    assert changed_files(base="HEAD") == ["pkg/core.py", "script.py"]
     selected = resolve_changed_paths(["pkg"], base="HEAD")
-    names = [p.name for p in selected]
-    # The change and its importer — never the untouched island module.
-    assert "core.py" in names and "user.py" in names
-    assert "island.py" not in names
+    # Not its importer user.py, the untouched island module, nor the
+    # changed file outside the lint roots.
+    assert [p.as_posix() for p in selected] == ["pkg/core.py"]
 
 
 def test_changed_run_agrees_with_the_full_run(repo):
@@ -93,6 +93,13 @@ def test_changed_run_agrees_with_the_full_run(repo):
 def test_untracked_files_count_as_changed(repo):
     (repo / "pkg" / "fresh.py").write_text("def q():\n    return 9\n")
     assert changed_files(base="HEAD") == ["pkg/fresh.py"]
+
+
+def test_non_python_changes_are_not_linted(repo):
+    (repo / "pkg" / "notes.md").write_text("# notes\n")
+    (repo / "pkg" / "data.json").write_text("{}\n")
+    assert changed_files(base="HEAD") == []
+    assert resolve_changed_paths(["pkg"], base="HEAD") == []
 
 
 def test_deleted_files_are_excluded(repo):

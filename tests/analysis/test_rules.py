@@ -25,6 +25,7 @@ EXPECTED_POSITIVES = {
     "DET003": 4,
     "DET004": 3,
     "MUT001": 4,
+    "RNG101": 3,
 }
 
 
@@ -60,6 +61,41 @@ def test_det001_names_the_draw_function():
     messages = " ".join(f.message for f in findings)
     assert "random.seed()" in messages
     assert "random.Random" in messages  # every message points at the fix
+
+
+def test_rng101_names_each_constructor():
+    messages = " ".join(f.message for f in _lint("RNG101", "rng101_bad.py"))
+    assert "random.Random" in messages
+    assert "default_rng" in messages
+    assert "RandomState" in messages
+
+
+#: The two draw shapes a seeded ``rng=`` API can leak to the global RNG
+#: through: a direct ``random.X()`` call, and a callee that imported
+#: ``X`` from random.  DET001 alone must flag both.
+LEAKED_DRAWS = {
+    "direct": (
+        "import random\n\n\ndef sample(items, rng):\n"
+        "    return random.choice(items)\n",
+        "random.choice()",
+    ),
+    "callee": (
+        "from random import gauss\n\n\ndef jitter():\n"
+        "    return gauss(0.0, 1.0)\n\n\ndef pick(items, rng):\n"
+        "    return items[int(jitter()) % len(items)]\n",
+        "importing gauss from random",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LEAKED_DRAWS))
+def test_det001_flags_a_global_draw_behind_an_rng_parameter(tmp_path, shape):
+    source, expected = LEAKED_DRAWS[shape]
+    path = tmp_path / "api.py"
+    path.write_text(source)
+    findings = lint_file(path, [get_rule("DET001")], scoped=False)
+    assert len(findings) == 1, [f.render() for f in findings]
+    assert expected in findings[0].message
 
 
 def test_det002_scope_covers_the_simulated_world():

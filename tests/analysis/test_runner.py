@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis import get_rule, lint_paths
 from repro.analysis.reporters import render_github, render_json, render_text
 from repro.analysis.runner import (
     PARSE_ERROR_RULE,
     LintConfig,
     iter_python_files,
+    lint_file,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 BAD_SOURCE = "import random\nx = random.random()\ny = random.randint(1, 6)\n"
 
 
@@ -115,3 +118,18 @@ def test_github_reporter_clean_run_and_escapes(tmp_path):
     from repro.analysis.reporters import _annotation_escape
 
     assert _annotation_escape("50% a\r\nb") == "50%25 a%0D%0Ab"
+
+
+@pytest.mark.parametrize(
+    "rule_id", ["DET001", "DET002", "DET003", "DET004", "MUT001", "RNG101"]
+)
+def test_lint_paths_agrees_with_lint_file(rule_id):
+    # Both entry points run the same per-module pass: a directory walk
+    # must report exactly what linting the file on its own reports.
+    bad = FIXTURES / f"{rule_id.lower()}_bad.py"
+    alone = lint_file(bad, [get_rule(rule_id)], scoped=False)
+    walked = lint_paths(
+        [FIXTURES], LintConfig(select=[rule_id], scoped=False)
+    ).findings
+    assert alone
+    assert [f for f in walked if f.path.endswith(bad.name)] == alone

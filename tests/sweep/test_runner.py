@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sweep.runner import SweepError, run_cell, run_cells, scheduler_mismatches
-from repro.sweep.schemes import SchemeSpec
+from repro.sweep.schemes import SCHEME_BASES, SchemeSpec
 from repro.sweep.spec import CellSpec, GridSpec
 from repro.sweep.store import ResultStore
 
@@ -43,7 +43,10 @@ class TestRunCells:
     def test_parallel_is_bit_identical_to_serial(self, tmp_path):
         """A pool fills a store that digests identically to a serial run,
         including a cell with a per-cell MRD profile store and a lossy-rpc
-        cell whose drop draws seed from its own fingerprint."""
+        cell whose drop draws seed from its own fingerprint.  A serial run
+        of the same cells in reverse order matches too: a cell's result
+        may not depend on the cells run before it in the same process
+        (a module-level RNG read on the worker path would)."""
         base = dict(workload="SP", cluster="test", cache_fraction=0.4, partitions=8)
         cells = _cells() + [
             CellSpec(scheme="MRD-recurring",
@@ -57,11 +60,30 @@ class TestRunCells:
         parallel_store = ResultStore(tmp_path / "parallel")
         serial = run_cells(cells, jobs=1, store=serial_store)
         parallel = run_cells(cells, jobs=3, store=parallel_store)
-        assert serial.errors == parallel.errors == 0
+        reversed_serial = run_cells(
+            cells[::-1], jobs=1, store=ResultStore(tmp_path / "reversed")
+        )
+        assert serial.errors == parallel.errors == reversed_serial.errors == 0
         assert serial.result_for(cells[-1]).metrics["control"]["dropped"] > 0
         assert _payloads(serial) == _payloads(parallel)
+        assert _payloads(serial) == _payloads(reversed_serial)[::-1]
         assert len(serial_store) == len(cells)
         assert serial_store.content_digest() == parallel_store.content_digest()
+
+    @pytest.mark.parametrize("base", SCHEME_BASES)
+    def test_cell_result_is_independent_of_earlier_cells(self, base):
+        """Every scheme's policy code is on the worker path: rerunning a
+        cell after other cells of the same scheme in one process must
+        reproduce it exactly (a module-level RNG in the policy would
+        advance between the runs)."""
+        cell, other = _cells(fractions=(0.3, 0.6), schemes=(base,))
+        first = run_cell(cell)
+        assert first.status == "ok", first.describe_error()
+        run_cell(other)
+        again = run_cell(cell)
+        assert (again.fingerprint, again.metrics) == (
+            first.fingerprint, first.metrics
+        )
 
     def test_duplicate_cells_share_one_computation(self):
         cells = _cells(fractions=(0.5,), schemes=("LRU",))

@@ -7,7 +7,14 @@ import json
 import pytest
 
 from repro.sweep.schemes import SCHEME_SPECS, SchemeSpec, resolve_scheme
-from repro.sweep.spec import CellSpec, GridSpec, load_grid, tomllib, validate_cells
+from repro.sweep.spec import (
+    CellSpec,
+    GridSpec,
+    check_cache_size,
+    load_grid,
+    tomllib,
+    validate_cells,
+)
 
 
 class TestSchemeSpec:
@@ -166,6 +173,24 @@ class TestCellValidation:
         with pytest.raises(ValueError, match="unknown cluster"):
             validate_cells([CellSpec(workload="SP", cluster="moon")])
         validate_cells([CellSpec(workload="SP", cluster="test")])  # no raise
+
+
+class TestCheckCacheSize:
+    """The one positivity check behind ``CellSpec``, ``mt run`` and
+    ``trace replay``: all three report a bad size in these words."""
+
+    @pytest.mark.parametrize("fraction, mb", [(0.5, None), (None, 64.0), (None, None)])
+    def test_accepts_a_positive_or_unset_size(self, fraction, mb):
+        check_cache_size(fraction, mb)
+
+    @pytest.mark.parametrize("fraction, mb, message", [
+        (-1.0, None, "cache_fraction must be positive, got -1.0"),
+        (0.5, float("nan"), "cache_mb must be positive, got nan"),
+    ], ids=["fraction-neg", "mb-nan"])
+    def test_names_the_field_and_the_value(self, fraction, mb, message):
+        with pytest.raises(ValueError) as excinfo:
+            check_cache_size(fraction, mb)
+        assert str(excinfo.value) == message
 
 
 class TestGridSpec:

@@ -183,7 +183,7 @@ class TestContentDigest:
 
 class TestAtomicWriteText:
     """The shared tmp+os.replace publisher behind every final-path
-    write in the store (IO201)."""
+    write in the store."""
 
     def test_writes_content_and_returns_the_path(self, tmp_path):
         target = tmp_path / "deep" / "out.json"
@@ -218,3 +218,24 @@ class TestAtomicWriteText:
         monkeypatch.undo()
         assert target.read_text() == "survivor"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_put_keeps_the_stored_cell_whole(self, tmp_path, monkeypatch):
+        # A put that dies before publishing must leave a resumable store:
+        # the cell's previous bytes, and no temp sibling in cells/.
+        store = ResultStore(tmp_path)
+        path = store.put(_ok_result("abc123"))
+        old_bytes = path.read_bytes()
+        newer = _ok_result("abc123")
+        newer.metrics = {"jct": 2.0}
+
+        import os as os_module
+
+        def exploding_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os_module, "replace", exploding_replace)
+        with pytest.raises(OSError):
+            store.put(newer)
+        monkeypatch.undo()
+        assert path.read_bytes() == old_bytes
+        assert [p.name for p in store.cells_dir.iterdir()] == [path.name]

@@ -235,6 +235,13 @@ class TestCommands:
         with pytest.raises(SystemExit, match="run failed: cache_.* must be positive"):
             main(["run", "KM", *flags])
 
+    @pytest.mark.parametrize("flags", [
+        ["--cache-fraction", "-1"], ["--cache-fraction", "nan"], ["--cache-mb", "0"],
+    ])
+    def test_mt_run_rejects_a_nonpositive_cache(self, flags):
+        with pytest.raises(SystemExit, match="mt run failed: cache_.* must be positive"):
+            main(["mt", "run", "KM", "--partitions", "4", "--cluster", "test", *flags])
+
     def test_sweep_rejects_a_nonpositive_fraction(self):
         with pytest.raises(SystemExit, match="sweep failed: cache_fraction must be positive"):
             main(["sweep", "SP", "--fractions", "0.4,-0.5"])
@@ -342,9 +349,8 @@ class TestLintCommand:
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "DET004", "MUT001"):
-            assert rule_id in out
+        rule_ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert rule_ids == ["DET001", "DET002", "DET003", "DET004", "MUT001", "RNG101"]
 
     def test_missing_path_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="lint failed"):

@@ -149,6 +149,56 @@ class TestRecord:
         capsys.readouterr()
         assert main(["trace", "diff", str(paths[0]), str(paths[2])]) == 0
 
+    def test_replay_cache_fraction_overrides_the_recorded_cache(
+        self, capsys, tmp_path
+    ):
+        out = tmp_path / "km.jsonl"
+        assert main([
+            "trace", "record", "KM", "--scheme", "mrd", "--cluster", "test",
+            "--partitions", "4", "-o", str(out),
+        ]) == 0
+        capsys.readouterr()
+
+        def cache_mb(*flags):
+            assert main(["trace", "replay", str(out), *flags]) == 0
+            header = capsys.readouterr().out.splitlines()[0]
+            return float(header.split("cache=")[1].split(" MB")[0])
+
+        bare = cache_mb()
+        assert cache_mb("--cache-fraction", "0.1") < bare
+        # An absolute size still wins over a fraction.
+        assert cache_mb("--cache-fraction", "0.1", "--cache-mb", "50") == 50.0
+
+    def test_bare_replay_keeps_the_recorded_fraction(self, capsys, tmp_path):
+        # Unset, --cache-fraction must not fall back to the event-log
+        # default of 0.5: a recorded trace replays at its own fraction.
+        out = tmp_path / "km.jsonl"
+        assert main([
+            "trace", "record", "KM", "--scheme", "mrd", "--cluster", "test",
+            "--partitions", "4", "--cache-fraction", "0.3", "-o", str(out),
+        ]) == 0
+        capsys.readouterr()
+
+        def header(*flags):
+            assert main(["trace", "replay", str(out), *flags]) == 0
+            return capsys.readouterr().out.splitlines()[0]
+
+        bare = header()
+        assert bare == header("--cache-fraction", "0.3")
+        assert bare != header("--cache-fraction", "0.5")
+
+    def test_replay_rejects_a_nonpositive_cache_fraction(self):
+        with pytest.raises(
+            SystemExit, match="replay failed: cache_fraction must be positive"
+        ):
+            main(["trace", "replay", ITERATIVE, "--cache-fraction", "-1"])
+
+    def test_replay_rejects_a_nonpositive_cache_mb(self):
+        with pytest.raises(
+            SystemExit, match="replay failed: cache_mb must be positive"
+        ):
+            main(["trace", "replay", ITERATIVE, "--cache-mb", "0"])
+
     def test_record_unknown_workload_exits_cleanly(self):
         with pytest.raises(SystemExit, match="record failed: unknown workload"):
             main(["trace", "record", "NOPE"])

@@ -15,6 +15,7 @@ from repro.simulator.engine import simulate
 from repro.sweep import CellSpec, SchemeSpec, execute_cell
 from repro.sweep.schemes import resolve_scheme
 from repro.trace.events import (
+    _CHROME_CATEGORIES,
     EVENT_TYPES,
     CacheHit,
     CacheMiss,
@@ -266,10 +267,21 @@ def test_replay_profile_store_prefeeds_mrd():
 
 class TestEventSummary:
     def test_groups_cover_every_registered_kind(self):
-        # EVENT_GROUPS is the pivot EVT301 cross-checks against the
-        # TraceEvent hierarchy: it must stay exactly in sync with the
-        # wire-format registry.
-        assert set(EVENT_GROUPS) == set(EVENT_TYPES)
+        # Every event class in the library, however deeply derived, must
+        # be in the wire-format registry, the summary pivot and the
+        # Chrome category table; a kind missing from one of them would
+        # fail to round-trip, raise in summarize_events or export as
+        # "misc".  Classes defined by tests (Rogue below) are skipped.
+        def library_subclasses(cls):
+            for sub in cls.__subclasses__():
+                if sub.__module__.startswith("repro."):
+                    yield sub
+                yield from library_subclasses(sub)
+
+        kinds = {cls.kind for cls in library_subclasses(TraceEvent)}
+        assert kinds == set(EVENT_TYPES)
+        assert kinds == set(EVENT_GROUPS)
+        assert kinds == set(_CHROME_CATEGORIES)
         assert set(EVENT_GROUPS.values()) == set(GROUP_ORDER)
 
     def test_summarize_counts_by_group_then_kind(self):
