@@ -50,7 +50,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
@@ -736,8 +736,9 @@ class SparkSimulator:
 
         * while membership is static, ``dag.engine_plans`` under the
           cluster size, so repeated runs of the DAG (sweep cells,
-          benchmark repeats) skip replanning — until
-          :meth:`_release_plans` clears it;
+          benchmark repeats) skip replanning; the plans live as long as
+          the DAG (a multi-tenant application's DAG, and with it its
+          plans, goes when :class:`EventLoop` drops the finished driver);
         * once membership changed (or under sticky placement, which
           depends on this run's membership *history*), the per-run
           ``_plan_cache`` under the membership epoch: such plans would
@@ -791,15 +792,6 @@ class SparkSimulator:
                 row = tuple((BlockId(rdd.id, q), place(q), size) for q in partitions)
             cache[key] = row
         return row
-
-    def _release_plans(self) -> None:
-        """Free every compiled plan and block row of this driver: the
-        DAG's shared ones and this run's.  Only for a DAG no later run
-        reuses (the tenancy engine calls it as an application leaves)."""
-        self.dag.engine_plans.clear()
-        self._plan_cache = {}
-        self._plan_stage = None
-        self._plan = None
 
     def _run_task(
         self, stage: Stage, partition: int, node_id: int, t0: float, fixed: float
@@ -1183,11 +1175,16 @@ BARRIER, ARRIVAL = 0, 1
 
 @dataclass(eq=False)
 class AppRun:
-    """One application's position in :class:`EventLoop`."""
+    """One application's position in :class:`EventLoop`.
+
+    Once the application finishes, the loop deletes ``driver`` and
+    empties ``stages``: a finished run keeps ``index``, ``finish`` and
+    ``metrics``.
+    """
 
     index: int
-    driver: SparkSimulator
-    stages: list[Stage]
+    driver: SparkSimulator = field(repr=False)
+    stages: list[Stage] = field(repr=False)
     finish: float = 0.0
     stage_idx: int = 0
     #: Task batches of the current stage still queued.
@@ -1227,6 +1224,10 @@ class EventLoop:
 
     ``on_finish(app, t)`` runs after an application's metrics are
     collected (the multi-tenant engine tears its tenant down there).
+    Then the loop drops the finished driver and its stage list, so an
+    application's DAG, scheme, control plane and block managers are
+    freed as it leaves, not when the stream ends; a standalone
+    ``run()`` keeps its own driver through its caller.
     """
 
     def __init__(
@@ -1301,6 +1302,8 @@ class EventLoop:
         del self._pumps[index]
         if self._on_finish is not None:
             self._on_finish(app, t)
+        del app.driver
+        app.stages = []
 
     def _start_stage(self, app: AppRun, now: float) -> None:
         """Begin ``app``'s next stage and queue its tasks, or finish.

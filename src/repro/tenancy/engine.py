@@ -40,9 +40,10 @@ scheduling decisions exactly — the equivalence suite asserts the full
 Teardown: when an application finishes, its metrics are collected
 first, then every block in its RDD namespace is dropped from the shared
 stores and its tenant policies are deregistered — a finished tenant
-neither holds cache nor participates in arbitration.  Its compiled
-task plans are freed too: each application's DAG is built for this
-stream alone, so nothing could reuse them.
+neither holds cache nor participates in arbitration.  The event loop
+then drops its driver, and with it the application's DAG (and the
+task plans compiled on it), scheme, control plane and block managers:
+each DAG is built for this stream alone, so nothing could reuse them.
 """
 
 from __future__ import annotations
@@ -173,12 +174,12 @@ class MultiTenantSimulator:
     # ------------------------------------------------------------------
     def run(self) -> MultiTenantMetrics:
         """Simulate every application; returns the aggregate metrics."""
-        loop = self._setup()
         times = self.arrivals.times(len(self.apps))
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("arrival times must be non-decreasing")
         if any(t < 0 for t in times):
             raise ValueError("arrival times must be non-negative")
+        loop = self._setup()
         apps = tuple(loop.run(times))
         makespan = max((app.finish for app in loop.apps), default=0.0)
         return MultiTenantMetrics(
@@ -274,8 +275,6 @@ class MultiTenantSimulator:
             assert isinstance(composite, ArbitratedNodePolicy)
             composite.deregister_tenant(app.index)
         self._masters[app.index] = None
-        # Its DAG is private to this stream: no later run reuses the plans.
-        app.driver._release_plans()
 
 
 def simulate_multi_tenant(

@@ -92,12 +92,15 @@ class TestRpcZeroEqualsInstant:
         assert base.failure_lost_blocks > 0
         assert observable(base) == observable(rpc)
 
-    def test_two_app_global_mrd_tenancy_matches(self):
+    def test_two_app_global_mrd_tenancy_matches(self, monkeypatch):
         # Tenant routing: each application's table lands on its own
         # tenant policy whether it is delivered or applied directly.  A
         # monitor without a view falls back to the live table, which
         # equals the snapshot under both planes here, so the held views
-        # are checked as well as the results.
+        # are checked as well as the results.  A finished driver is
+        # dropped after teardown, so the views are read at teardown.
+        teardown = MultiTenantSimulator._teardown
+
         def run(**kwargs):
             apps = [
                 AppSpec(workload="KM", scheme="MRD", partitions=8),
@@ -107,12 +110,18 @@ class TestRpcZeroEqualsInstant:
                 apps, config(cache_mb=30.0), arrivals=FixedArrivals(interval=2.0),
                 arbitration="global-mrd", **kwargs,
             )
+            views = {}
+
+            def reading_views(self, app, t):
+                views[app.index] = [
+                    (p._view_seq, p._distances is not None)
+                    for p in app.driver._tenant_policies
+                ]
+                teardown(self, app, t)
+
+            monkeypatch.setattr(MultiTenantSimulator, "_teardown", reading_views)
             result = sim.run()
-            views = [
-                [(p._view_seq, p._distances is not None) for p in app.driver._tenant_policies]
-                for app in sim._loop.apps
-            ]
-            return result, views
+            return result, [views[index] for index in range(len(apps))]
 
         base, base_views = run()
         rpc, rpc_views = run(control_plane="rpc", control_config=RpcConfig(latency_s=0.0))

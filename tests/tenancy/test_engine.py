@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+import repro.tenancy.engine as tenancy_engine
 from repro.cluster.cluster import ClusterConfig
 from repro.simulator.engine import SparkSimulator
 from repro.tenancy import (
     AppSpec,
     ArbitratedNodePolicy,
+    ArrivalProcess,
     FixedArrivals,
     MultiTenantSimulator,
     PoissonArrivals,
@@ -101,23 +106,29 @@ class TestIsolation:
             assert policy._tenants == {}
             assert list(policy.eviction_order(node.memory)) == []
 
-    def test_finished_apps_hold_no_plans(self, monkeypatch):
+    def test_finished_drivers_are_freed(self, monkeypatch):
+        # A finished application's driver, and with it its DAG and the
+        # plans compiled on it, is unreachable once the run returns.
         compiled = []
+        drivers = {}
         compile_plan = SparkSimulator._compile_plan
 
         def counting(driver, stage, cache, scope):
             compiled.append(driver.app_id)
+            drivers.setdefault(
+                driver.app_id, (weakref.ref(driver), weakref.ref(driver.dag))
+            )
             return compile_plan(driver, stage, cache, scope)
 
         monkeypatch.setattr(SparkSimulator, "_compile_plan", counting)
         sim = run(arrivals=FixedArrivals(interval=1.0))
-        sim.run()
+        metrics = sim.run()
+        gc.collect()
         assert set(compiled) == {0, 1, 2}
-        for app in sim._loop.apps:
-            driver = app.driver
-            assert driver.dag.engine_plans == {}
-            assert driver._plan_cache == {}
-            assert driver._plan is None
+        assert [m.app_id for m in metrics.apps] == [0, 1, 2]
+        for app_id, (driver, dag) in sorted(drivers.items()):
+            assert driver() is None, f"app {app_id}'s driver outlived its run"
+            assert dag() is None, f"app {app_id}'s DAG outlived its run"
 
 
 class TestValidation:
@@ -137,8 +148,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown arbitration"):
             MultiTenantSimulator(APPS, CLUSTER, arbitration="fifo")
 
+    @pytest.mark.parametrize(
+        "arrivals, message",
+        [([2.0, 1.0, 0.5], "non-decreasing"), ([-1.0, 0.0, 1.0], "non-negative")],
+    )
+    def test_bad_arrival_times_raise_before_any_dag_is_built(
+        self, monkeypatch, arrivals, message
+    ):
+        class Scripted(ArrivalProcess):
+            def times(self, n):
+                return arrivals[:n]
+
+        built = []
+        monkeypatch.setattr(
+            tenancy_engine, "build_dag", lambda *args: built.append(args)
+        )
+        with pytest.raises(ValueError, match=message):
+            run(arrivals=Scripted()).run()
+        assert built == []
+
     def test_app_driver_run_is_blocked(self):
         sim = run()
-        sim.run()
+        loop = sim._setup()
         with pytest.raises(RuntimeError):
-            sim._loop.apps[0].driver.run()
+            loop.apps[0].driver.run()
